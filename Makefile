@@ -36,7 +36,8 @@ race-vec:
 	$(GO) test -race -run 'TestVec|TestDict' ./internal/engine/
 
 # Fault-injection recovery matrix: kill the durable engine at every
-# byte offset and every fsync boundary of a scripted workload (plus the
+# byte offset and every fsync boundary of a scripted workload, and at
+# every fsync boundary of a three-document loader sequence (plus the
 # WAL/snapshot corruption sweeps) and require exact prefix recovery,
 # under the race detector.
 crash-matrix:

@@ -109,9 +109,9 @@ func BenchmarkLoad(b *testing.B) {
 }
 
 // BenchmarkParallelLoad is experiment E5b: corpus-loading throughput of
-// the staged batch loader as the worker count grows. The serial
-// LoadDocument path and workers=1 should be comparable; higher counts
-// show how far per-table locking lets loads overlap.
+// the loader as the worker count grows. workers=1 is the baseline (the
+// same path LoadDocument takes); higher counts show how far per-table
+// locking lets loads overlap.
 func BenchmarkParallelLoad(b *testing.B) {
 	d, docs := benchCorpus(b, 200)
 	res, err := core.Map(d)
@@ -134,18 +134,6 @@ func BenchmarkParallelLoad(b *testing.B) {
 		}
 		return loader
 	}
-	b.Run("serial", func(b *testing.B) { // pre-pipeline baseline: one Insert per row
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			loader := fresh(b)
-			b.StartTimer()
-			for di, doc := range docs {
-				if _, err := loader.LoadDocument(doc, fmt.Sprintf("doc-%d", di)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -38,7 +38,7 @@ func run(args []string, w io.Writer) error {
 	exp := fs.String("exp", "all", "experiment id (e1..e14) or all")
 	seed := fs.Int64("seed", 1, "workload seed")
 	list := fs.Bool("list", false, "list experiments and exit")
-	workers := fs.Int("workers", 0, "e5b: measure this worker count against the serial baseline (0 = default 1/2/4/8 sweep)")
+	workers := fs.Int("workers", 0, "e5b: measure this worker count against the one-worker baseline (0 = default 1/2/4/8 sweep)")
 	stats := fs.Bool("stats", false, "attach metrics to every experiment and print the final report")
 	jsonPath := fs.String("json", "", "also write the run's results as JSON to this file")
 	debugAddr := fs.String("debug-addr", "", "serve /debug/metrics, /debug/vars and /debug/pprof on this address while running")

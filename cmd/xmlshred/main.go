@@ -34,7 +34,7 @@ func run(args []string, w io.Writer) error {
 	dtdPath := fs.String("dtd", "", "DTD file (required)")
 	strategy := fs.String("strategy", "junction", "relational strategy: junction or fold")
 	verify := fs.Bool("verify", false, "reconstruct each document and verify equivalence")
-	workers := fs.Int("workers", 1, "parallel loader workers (>1 enables the bulk-load pipeline; ignored with -verify)")
+	workers := fs.Int("workers", 1, "loader workers shredding documents concurrently (each document commits atomically at any count; ignored with -verify)")
 	dump := fs.String("dump", "", "print the rows of one table after loading")
 	stats := fs.Bool("stats", false, "print the pipeline metrics report after loading")
 	debugAddr := fs.String("debug-addr", "", "serve /debug/metrics, /debug/vars and /debug/pprof on this address while loading")
@@ -74,12 +74,18 @@ func run(args []string, w io.Writer) error {
 		defer ds.Close(context.Background())
 		fmt.Fprintf(w, "debug endpoint on http://%s/debug/metrics\n", ds.Addr())
 	}
-	if (*workers > 1 || *dataDir != "") && !*verify {
-		// Bulk load: parse every document, then shred the corpus through
-		// the staged batched loader. A durable store always takes this
-		// path — each document flushes as one atomic WAL frame, so a
-		// crash mid-run loses at most the in-flight documents, never part
-		// of one.
+	if *verify {
+		for _, path := range fs.Args() {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			if err := p.VerifyRoundTrip(string(b), path); err != nil {
+				return fmt.Errorf("%s: %w", path, err)
+			}
+			fmt.Fprintf(w, "%s: loaded and round-trip verified\n", path)
+		}
+	} else {
 		docs := make([]*xmltree.Document, 0, fs.NArg())
 		for _, path := range fs.Args() {
 			b, err := os.ReadFile(path)
@@ -98,25 +104,6 @@ func run(args []string, w io.Writer) error {
 		}
 		for i, path := range fs.Args() {
 			fmt.Fprintf(w, "%s: loaded as document %d\n", path, ids[i])
-		}
-	} else {
-		for _, path := range fs.Args() {
-			b, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			if *verify {
-				if err := p.VerifyRoundTrip(string(b), path); err != nil {
-					return fmt.Errorf("%s: %w", path, err)
-				}
-				fmt.Fprintf(w, "%s: loaded and round-trip verified\n", path)
-				continue
-			}
-			id, err := p.LoadXML(string(b), path)
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			fmt.Fprintf(w, "%s: loaded as document %d\n", path, id)
 		}
 	}
 	if *analyze {

@@ -1,6 +1,7 @@
 package xmlrdb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -164,5 +165,118 @@ func TestPipelineCheckpointInMemory(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Errorf("Close on in-memory pipeline: %v", err)
+	}
+}
+
+// loadEntryPoints are the single-document load methods of Pipeline; all
+// of them must commit a document exactly as LoadCorpus does.
+var loadEntryPoints = []struct {
+	name string
+	load func(p *Pipeline, src, name string) error
+}{
+	{"LoadXML", func(p *Pipeline, src, name string) error {
+		_, err := p.LoadXML(src, name)
+		return err
+	}},
+	{"LoadValidXML", func(p *Pipeline, src, name string) error {
+		_, err := p.LoadValidXML(src, name)
+		return err
+	}},
+	{"LoadDocument", func(p *Pipeline, src, name string) error {
+		doc, err := p.ParseDocument(src)
+		if err != nil {
+			return err
+		}
+		_, err = p.LoadDocument(doc, name)
+		return err
+	}},
+	{"VerifyRoundTrip", func(p *Pipeline, src, name string) error {
+		return p.VerifyRoundTrip(src, name)
+	}},
+}
+
+// TestDurableLoadOneFramePerDocument: on a durable store every load
+// entry point costs one WAL frame and one fsync per document, whichever
+// batch layout the schema selects (FK-ordered tables, or document-order
+// runs when the fold strategy makes the FK graph cyclic).
+func TestDurableLoadOneFramePerDocument(t *testing.T) {
+	const recursiveDTD = `<!ELEMENT a (b*)> <!ELEMENT b (a*)>`
+	cases := []struct {
+		name, dtd, xml string
+		strategy       Strategy
+		cyclic         bool
+	}{
+		{"junction", paper.Example1DTD, paper.BookXML, StrategyJunction, false},
+		{"fold", paper.Example1DTD, paper.BookXML, StrategyFoldFK, false},
+		{"fold recursive", recursiveDTD, `<a><b><a></a><a><b></b></a></b><b></b></a>`, StrategyFoldFK, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := Open(c.dtd, Config{DataDir: t.TempDir(), Strategy: c.strategy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			for _, ep := range loadEntryPoints {
+				frames, fsyncs := p.Obs.WALFrames.Load(), p.Obs.WALFsyncs.Load()
+				if err := ep.load(p, c.xml, ep.name); err != nil {
+					t.Fatalf("%s: %v", ep.name, err)
+				}
+				if df, ds := p.Obs.WALFrames.Load()-frames, p.Obs.WALFsyncs.Load()-fsyncs; df != 1 || ds != 1 {
+					t.Errorf("%s: one document cost %d WAL frames and %d fsyncs, want 1 and 1", ep.name, df, ds)
+				}
+			}
+			if got := p.Obs.FlushFallbacks.Load() > 0; got != c.cyclic {
+				t.Errorf("document-order plan used = %v, want %v", got, c.cyclic)
+			}
+		})
+	}
+}
+
+// TestDurableFailedLoadLeavesNothing: a document that fails after the
+// traversal has already produced rows (duplicate ID on the second
+// author) stores nothing, logs nothing, and the store reopens to the
+// same state.
+func TestDurableFailedLoadLeavesNothing(t *testing.T) {
+	const dupID = `<article><title>T</title>` +
+		`<author id="a1"><name><lastname>x</lastname></name></author>` +
+		`<author id="a1"><name><lastname>y</lastname></name></author></article>`
+	state := func(p *Pipeline) string {
+		ids, err := p.DocumentIDs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("rows=%d docs=%v", p.DB.TotalRows(), ids)
+	}
+	cfg := Config{DataDir: t.TempDir()}
+	p, err := Open(paper.Example1DTD, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.LoadXML(paper.BookXML, "good"); err != nil {
+		t.Fatal(err)
+	}
+	want, frames := state(p), p.Obs.WALFrames.Load()
+	for _, ep := range loadEntryPoints {
+		if err := ep.load(p, dupID, "bad"); err == nil {
+			t.Errorf("%s: duplicate ID loaded", ep.name)
+		}
+		if got := state(p); got != want {
+			t.Errorf("%s: failed load changed the store: %s, want %s", ep.name, got, want)
+		}
+		if got := p.Obs.WALFrames.Load(); got != frames {
+			t.Errorf("%s: failed load wrote %d WAL frames", ep.name, got-frames)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p2, err := Open(paper.Example1DTD, cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer p2.Close()
+	if got := state(p2); got != want {
+		t.Errorf("reopened store: %s, want %s", got, want)
 	}
 }

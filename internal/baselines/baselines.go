@@ -26,6 +26,9 @@ type Engine interface {
 	Insert(table string, row []any) (int, error)
 	// InsertMap appends one row given as column->value.
 	InsertMap(table string, vals map[string]any) (int, error)
+	// InsertBatchMulti atomically appends per-table batches in slice
+	// order (the ER loader commits each document as one such call).
+	InsertBatchMulti(tables []string, batches [][][]any) (int, error)
 }
 
 // LoadStats reports what one document contributed.

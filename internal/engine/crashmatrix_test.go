@@ -5,7 +5,12 @@ import (
 	"fmt"
 	"testing"
 
+	"xmlrdb/internal/core"
+	"xmlrdb/internal/dtd"
+	"xmlrdb/internal/ermap"
 	"xmlrdb/internal/faultfs"
+	"xmlrdb/internal/paper"
+	"xmlrdb/internal/shred"
 )
 
 // The crash matrix kills a scripted workload at every byte offset (torn
@@ -175,7 +180,53 @@ func TestCrashMatrixByteOffsets(t *testing.T) {
 }
 
 func TestCrashMatrixFsyncBoundaries(t *testing.T) {
-	ops := crashWorkload()
+	crashAtEveryFsync(t, crashWorkload())
+}
+
+// loaderWorkload is a schema build followed by three Loader.LoadXML
+// calls. Each document must be one frame — the matrix's unit of
+// durability — so a crash anywhere recovers to a whole-document prefix.
+// Every load builds its loader afresh and resumes the id counters from
+// the store, as reopening a pipeline does.
+func loaderWorkload(t *testing.T) []scriptOp {
+	t.Helper()
+	res, err := core.Map(dtd.MustParse(paper.Example1DTD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ermap.Build(res.Model, ermap.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []scriptOp
+	for _, def := range m.Schema.Tables {
+		ops = append(ops, scriptOp{"create " + def.Name, func(db *DB) error { return db.CreateTable(def) }})
+	}
+	for i, xml := range []string{paper.BookXML, paper.ArticleXML, paper.EditorXML} {
+		name := fmt.Sprintf("doc-%d", i)
+		ops = append(ops, scriptOp{"load " + name, func(db *DB) error {
+			l, err := shred.NewLoader(res, m, db)
+			if err != nil {
+				return err
+			}
+			if err := l.ResumeFrom(db); err != nil {
+				return err
+			}
+			_, err = l.LoadXML(xml, name)
+			return err
+		}})
+	}
+	return ops
+}
+
+func TestCrashMatrixLoaderDocuments(t *testing.T) {
+	crashAtEveryFsync(t, loaderWorkload(t))
+}
+
+// crashAtEveryFsync loses power at each fsync boundary of the workload
+// and requires recovery to the exact committed prefix.
+func crashAtEveryFsync(t *testing.T, ops []scriptOp) {
+	t.Helper()
 	states := referenceStates(t, ops)
 
 	clean := faultfs.NewMem()

@@ -239,12 +239,12 @@ func (db *DB) DictStats(name string) map[string]int {
 	return out
 }
 
-// ---- WAL frame ----
+// ---- WAL codec (the dictionary section of a frameStats record) ----
 
-// encodeAnalyzeFrame serializes an ANALYZE: table name, column count,
-// then per column a presence byte and (when present) the dictionary
-// values in code order.
-func encodeAnalyzeFrame(table string, dicts []*colDict) []byte {
+// encodeDictSection serializes an ANALYZE's dictionaries: table name,
+// column count, then per column a presence byte and (when present) the
+// dictionary values in code order.
+func encodeDictSection(table string, dicts []*colDict) []byte {
 	buf := appendWALString(nil, table)
 	buf = binary.AppendUvarint(buf, uint64(len(dicts)))
 	for _, d := range dicts {
@@ -261,9 +261,9 @@ func encodeAnalyzeFrame(table string, dicts []*colDict) []byte {
 	return buf
 }
 
-// decodeAnalyzePayload is the inverse, validated defensively like every
+// decodeDictSection is the inverse, validated defensively like every
 // other WAL payload.
-func decodeAnalyzePayload(r *walReader) (string, []*colDict, error) {
+func decodeDictSection(r *walReader) (string, []*colDict, error) {
 	name, err := r.str()
 	if err != nil {
 		return "", nil, err
@@ -305,24 +305,4 @@ func decodeAnalyzePayload(r *walReader) (string, []*colDict, error) {
 		}
 	}
 	return name, dicts, nil
-}
-
-// applyAnalyzeFrame re-installs logged dictionaries during recovery.
-// New ANALYZE ops log the combined frameStats record (stats.go); this
-// replays the dictionary-only frames older WALs still carry.
-func (db *DB) applyAnalyzeFrame(r *walReader) error {
-	name, dicts, err := decodeAnalyzePayload(r)
-	if err != nil {
-		return err
-	}
-	t := db.tables[name]
-	if t == nil {
-		return fmt.Errorf("%w: %q", ErrNoTable, name)
-	}
-	if len(dicts) != len(t.def.Columns) {
-		return errWALCorrupt
-	}
-	t.dicts = dicts
-	t.invalidateVersion()
-	return nil
 }

@@ -18,6 +18,12 @@ import (
 // was opened without a data directory.
 var ErrNotDurable = errors.New("engine: database is not durable (no data directory)")
 
+// ErrUnsupportedFormat is returned when a data directory holds an
+// intact (checksum-valid) WAL frame or snapshot in a format version
+// this build does not read. It is never treated as a torn tail: the
+// open fails and the files are left untouched.
+var ErrUnsupportedFormat = errors.New("engine: unsupported store format")
+
 // DurabilityOptions configures OpenAtOpts.
 type DurabilityOptions struct {
 	// SnapshotEvery takes a snapshot (and truncates the log) after this
@@ -112,6 +118,9 @@ func (db *DB) recoverFrom(fs faultfs.FS, dir string, m *obs.Metrics, allowStale 
 		var seq uint64
 		if rerr == nil {
 			tables, order, seq, lerr = loadSnapshot(data)
+		}
+		if errors.Is(lerr, ErrUnsupportedFormat) {
+			return 0, fmt.Errorf("%s: %w", snapshots[i], lerr)
 		}
 		if rerr != nil || lerr != nil {
 			// Fall back to an older snapshot, remembering how far forward
@@ -334,9 +343,6 @@ func (db *DB) applyFrame(fr walFrame) error {
 		t.markOrderedDirty()
 		return nil
 
-	case frameAnalyze:
-		return db.applyAnalyzeFrame(r)
-
 	case frameStats:
 		return db.applyStatsFrame(r)
 
@@ -395,7 +401,9 @@ func (db *DB) applyFrame(fr walFrame) error {
 		}
 
 	default:
-		return errWALCorrupt
+		// The frame passed its CRC, so this is not damage: a different
+		// format version wrote it.
+		return fmt.Errorf("%w: wal frame kind %d", ErrUnsupportedFormat, fr.kind)
 	}
 }
 

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -406,4 +409,83 @@ func TestCheckpointOnInMemoryDB(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Errorf("Close on in-memory DB: %v", err)
 	}
+}
+
+// TestDurableUnsupportedFormatRefused: an intact (CRC-valid) WAL frame
+// of a kind this build does not read, or an intact snapshot of another
+// format version, is neither a torn tail to truncate nor a damaged
+// snapshot to fall back past. The open fails with ErrUnsupportedFormat —
+// AllowStale included — and leaves the file as it was.
+func TestDurableUnsupportedFormatRefused(t *testing.T) {
+	const dir = "data"
+	// closedStore runs the workload and returns the store's filesystem
+	// with the paths of its one segment and (after a checkpoint) snapshot.
+	closedStore := func(t *testing.T, checkpoint bool) (fs *faultfs.Mem, segment, snapshot string) {
+		t.Helper()
+		fs = faultfs.NewMem()
+		db, err := OpenAtOpts(dir, DurabilityOptions{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runWorkload(t, db)
+		if checkpoint {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.Close()
+		segs, snaps, err := listWALFiles(fs, dir)
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("want one segment, got %v (%v)", segs, err)
+		}
+		if checkpoint {
+			snapshot = filepath.Join(dir, snaps[0])
+		}
+		return fs, filepath.Join(dir, segs[0]), snapshot
+	}
+	refused := func(t *testing.T, fs *faultfs.Mem, name string, planted []byte) {
+		t.Helper()
+		f, err := fs.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write(planted)
+		f.Sync()
+		f.Close()
+		_, err = OpenAtOpts(dir, DurabilityOptions{FS: fs, AllowStale: true})
+		if !errors.Is(err, ErrUnsupportedFormat) {
+			t.Fatalf("open: got %v, want ErrUnsupportedFormat", err)
+		}
+		after, err := readAll(fs, name)
+		if err != nil || !bytes.Equal(after, planted) {
+			t.Errorf("failed open modified %s (%d -> %d bytes, %v)", name, len(planted), len(after), err)
+		}
+	}
+
+	t.Run("wal frame kind 7", func(t *testing.T) {
+		fs, segment, _ := closedStore(t, false)
+		seg, err := readAll(fs, segment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// What the retired dictionary-only ANALYZE record looked like: the
+		// next sequence number, kind 7, a dictionary section.
+		body := binary.LittleEndian.AppendUint64(nil, uint64(len(decodeFrames(seg))+1))
+		body = append(body, 7)
+		body = append(body, encodeDictSection("books", make([]*colDict, 4))...)
+		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(body)))
+		seg = append(seg, body...)
+		seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE(body))
+		refused(t, fs, segment, seg)
+	})
+	t.Run("snapshot version 1", func(t *testing.T) {
+		fs, _, snapshot := closedStore(t, true)
+		snap, err := readAll(fs, snapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap = snap[:len(snap)-4]
+		snap[len(snapMagic)-1] = '1'
+		refused(t, fs, snapshot, binary.LittleEndian.AppendUint32(snap, crc32.ChecksumIEEE(snap)))
+	})
 }

@@ -16,7 +16,7 @@ import (
 // reference — survive the round trip) tagged with the WAL sequence
 // number it covers:
 //
-//	8 bytes  magic "XRDBSNP2" (version 1 is still readable)
+//	8 bytes  magic "XRDBSNP" + format version '2'
 //	uvarint  covered WAL sequence number
 //	uvarint  table count, then per table in creation order:
 //	         uvarint-length-prefixed JSON snapTableHeader,
@@ -37,10 +37,7 @@ import (
 // then renamed into place. Hash-index contents are rebuilt from the
 // rows on load; ordered indexes are recreated dirty and rebuild lazily.
 
-var (
-	snapMagic   = [8]byte{'X', 'R', 'D', 'B', 'S', 'N', 'P', '2'}
-	snapMagicV1 = [8]byte{'X', 'R', 'D', 'B', 'S', 'N', 'P', '1'}
-)
+var snapMagic = [8]byte{'X', 'R', 'D', 'B', 'S', 'N', 'P', '2'}
 
 // snapTableHeader is the per-table JSON header of a snapshot.
 type snapTableHeader struct {
@@ -247,18 +244,19 @@ func loadSnapshot(data []byte) (tables map[string]*table, order []string, seq ui
 	if len(data) < len(snapMagic)+4 {
 		return nil, nil, 0, fmt.Errorf("engine: snapshot too short")
 	}
-	var withDicts bool
-	switch string(data[:len(snapMagic)]) {
-	case string(snapMagic[:]):
-		withDicts = true
-	case string(snapMagicV1[:]):
-		withDicts = false
-	default:
-		return nil, nil, 0, fmt.Errorf("engine: bad snapshot magic")
-	}
 	body, crc := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
 	if crc32.ChecksumIEEE(body) != crc {
 		return nil, nil, 0, fmt.Errorf("engine: snapshot checksum mismatch")
+	}
+	// Checked after the CRC so a damaged magic reads as corruption (fall
+	// back to an older snapshot) and only an intact file of another
+	// version as unsupported.
+	const prefix = len(snapMagic) - 1
+	if string(data[:prefix]) != string(snapMagic[:prefix]) {
+		return nil, nil, 0, fmt.Errorf("engine: bad snapshot magic")
+	}
+	if data[prefix] != snapMagic[prefix] {
+		return nil, nil, 0, fmt.Errorf("%w: snapshot version %q", ErrUnsupportedFormat, data[prefix])
 	}
 	r := &walReader{data: body, pos: len(snapMagic)}
 	if seq, err = r.uvarint(); err != nil {
@@ -312,7 +310,7 @@ func loadSnapshot(data []byte) (tables map[string]*table, order []string, seq ui
 		}
 		// Dictionary sections, in dict_cols order.
 		var dicts []*colDict
-		if withDicts && len(hdr.DictCols) > 0 {
+		if len(hdr.DictCols) > 0 {
 			dicts = make([]*colDict, len(t.def.Columns))
 			for _, cn := range hdr.DictCols {
 				_, pos := t.def.Column(cn)
@@ -340,7 +338,7 @@ func loadSnapshot(data []byte) (tables map[string]*table, order []string, seq ui
 				dicts[pos] = d
 			}
 			t.dicts = dicts
-		} else if withDicts && hdr.DictCols != nil {
+		} else if hdr.DictCols != nil {
 			// An analyzed table may legitimately have zero encoded columns;
 			// keep a full-width nil slice so ANALYZE state survives.
 			t.dicts = make([]*colDict, len(t.def.Columns))

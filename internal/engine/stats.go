@@ -20,9 +20,8 @@ import (
 // same ANALYZE pass: the combined result is logged as one frameStats
 // WAL record before installation (one frame per ANALYZE keeps the
 // crash matrix's op-level atomicity), and travels inside snapshots as
-// part of the per-table JSON header. Old stores recover fine — a
-// legacy frameAnalyze replays dictionaries only, and a header without
-// a stats field simply leaves the table unanalyzed for costing.
+// part of the per-table JSON header; a header without a stats field
+// simply leaves the table unanalyzed for costing.
 
 // statsHistBuckets is the equi-depth histogram resolution. Sixteen
 // buckets bound the per-column footprint while still resolving the
@@ -297,18 +296,18 @@ func (db *DB) installStatsLocked(t *table, ts *TableStats) {
 // ---- WAL frame (frameStats) ----
 
 // statsPayload is the JSON tail of a frameStats record. The dictionary
-// section reuses the binary frameAnalyze codec; statistics are rare and
-// self-describing JSON keeps them debuggable, like DDL records.
+// section is binary (dict.go); statistics are rare and self-describing
+// JSON keeps them debuggable, like DDL records.
 type statsPayload struct {
 	Stats *TableStats `json:"stats"`
 }
 
-// encodeStatsFrame serializes one ANALYZE result: the frameAnalyze
-// layout (table, per-column dictionaries) followed by a length-prefixed
+// encodeStatsFrame serializes one ANALYZE result: the dictionary
+// section (table, per-column dictionaries) followed by a length-prefixed
 // JSON statsPayload. One frame carries the whole ANALYZE so recovery
 // can never observe dictionaries without their statistics.
 func encodeStatsFrame(table string, dicts []*colDict, ts *TableStats) ([]byte, error) {
-	buf := encodeAnalyzeFrame(table, dicts)
+	buf := encodeDictSection(table, dicts)
 	js, err := json.Marshal(statsPayload{Stats: ts})
 	if err != nil {
 		return nil, err
@@ -331,7 +330,7 @@ func (db *DB) logStats(table string, dicts []*colDict, ts *TableStats) error {
 // applyStatsFrame re-installs a logged ANALYZE (dictionaries plus
 // statistics) during recovery.
 func (db *DB) applyStatsFrame(r *walReader) error {
-	name, dicts, err := decodeAnalyzePayload(r)
+	name, dicts, err := decodeDictSection(r)
 	if err != nil {
 		return err
 	}

@@ -34,7 +34,9 @@ import (
 // stops at the first torn, truncated or corrupt frame — the surviving
 // state is always a committed prefix of the original run.
 
-// Frame kinds.
+// Frame kinds. Kind 7 was the dictionary-only ANALYZE record that
+// frameStats replaced; like any kind this build does not write, a log
+// holding one fails to open with ErrUnsupportedFormat.
 const (
 	frameInsert  byte = 1 // table, row
 	frameBatch   byte = 2 // table, rows
@@ -42,9 +44,8 @@ const (
 	frameUpdate  byte = 4 // table, (pos, post-image row)*
 	frameDelete  byte = 5 // table, pos*
 	frameDDL     byte = 6 // JSON ddlRecord
-	frameAnalyze byte = 7 // table, per-column dictionaries (dict.go)
 	frameCompact byte = 8 // table, post-compaction row count (vacuum.go)
-	frameStats   byte = 9 // analyze payload + JSON table statistics (stats.go)
+	frameStats   byte = 9 // per-column dictionaries + JSON table statistics (stats.go)
 )
 
 // walMaxFrame bounds a single frame body; larger length prefixes are

@@ -290,19 +290,19 @@ func E5(seed int64) (*Table, error) {
 
 // E5bWorkers is the worker sweep E5b runs; cmd/xmlbench -workers
 // replaces it with {1, N} to measure one specific count against the
-// serial baseline.
+// one-worker baseline.
 var E5bWorkers = []int{1, 2, 4, 8}
 
 // E5b measures parallel bulk-load scaling: the §5 loader over the er
 // mapping, one corpus per DTD family, swept across worker counts. Each
-// worker stages a whole document and flushes it as per-table batches,
-// so contention is per-table locks rather than one global mutex.
+// worker stages a whole document and commits it as one multi-table
+// batch, so contention is per-table locks rather than one global mutex.
 func E5b(seed int64) (*Table, error) {
 	t := &Table{
 		ID: "E5b", Title: "parallel bulk-load scaling (er mapping, 200 synthetic documents)",
 		Header: []string{"dtd", "workers", "docs", "rows", "elapsed", "docs/s", "speedup"},
 		Notes: []string{
-			"expected shape: near-linear speedup while workers <= physical cores; staged flushing keeps lock acquisitions per document constant",
+			"expected shape: near-linear speedup while workers <= physical cores; one batch per document keeps lock acquisitions per document constant",
 		},
 	}
 	before := snap()

@@ -141,7 +141,7 @@ func TestStagedFlushUsesMultiBatch(t *testing.T) {
 	l, db := setup(t, paper.Example1DTD, ermap.Options{})
 	rec := &multiRecorder{DB: db}
 	l.db = rec
-	if _, err := l.LoadStaged(bookDoc(t, l), "b"); err != nil {
+	if _, err := l.LoadDocument(bookDoc(t, l), "b"); err != nil {
 		t.Fatal(err)
 	}
 	if rec.multi != 1 || rec.single != 0 {

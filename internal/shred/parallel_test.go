@@ -222,39 +222,3 @@ func TestLoadCorpusError(t *testing.T) {
 		t.Fatal("corpus with unmapped root loaded")
 	}
 }
-
-// plainEngine hides InsertBatch so LoadStaged must fall back to the
-// per-row LoadDocument path.
-type plainEngine struct{ Engine }
-
-// TestLoadCorpusNonBatchEngine checks the corpus loader still works
-// against an Engine without batch support.
-func TestLoadCorpusNonBatchEngine(t *testing.T) {
-	res, err := core.Map(dtd.MustParse(paper.Example1DTD))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := ermap.Build(res.Model, ermap.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := engine.Open()
-	if err := db.CreateSchema(m.Schema); err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLoader(res, m, plainEngine{db})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := xmltree.ParseWith(paper.BookXML, xmltree.Options{ExternalDTD: res.Original})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sts, err := l.LoadCorpus([]*xmltree.Document{doc}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := count(t, db, `SELECT COUNT(*) FROM e_book`); got != 1 || sts[0].Elements == 0 {
-		t.Errorf("books = %d, stats = %+v", got, sts[0])
-	}
-}

@@ -8,8 +8,10 @@
 // deriving the child-element sequence against the step-1 (grouped)
 // content model, so every NESTED_GROUP instance — including groups
 // nested inside groups, which surface as virtual entities — is
-// identified exactly. Parents are inserted before their children, so
-// the engine's foreign-key enforcement can stay on during loading.
+// identified exactly. The traversal stages a document's rows; the
+// document then reaches the engine as one atomic multi-table batch laid
+// out parents before children, so the engine's foreign-key enforcement
+// can stay on during loading.
 package shred
 
 import (
@@ -32,32 +34,13 @@ import (
 	"xmlrdb/internal/xmltree"
 )
 
-// Engine is the storage surface the loader writes through (satisfied by
-// *engine.DB).
-type Engine interface {
-	// Insert appends one row in column order.
-	Insert(table string, row []any) (int, error)
-	// InsertMap appends one row given as column->value; omitted columns
-	// are NULL.
-	InsertMap(table string, vals map[string]any) (int, error)
-}
-
-// BatchEngine is an Engine that can also apply many rows of one table
-// under a single lock acquisition (satisfied by *engine.DB). LoadCorpus
-// uses it to flush whole documents as per-table batches.
-type BatchEngine interface {
-	Engine
-	// InsertBatch atomically appends rows in column order.
-	InsertBatch(table string, rows [][]any) (int, error)
-}
-
-// MultiBatchEngine is a BatchEngine that can apply batches to several
-// tables as one atomic unit (satisfied by *engine.DB). When the engine
-// offers it, a staged document flushes as a single multi-table batch —
-// on a durable engine that is one write-ahead-log frame, so a crash
-// mid-corpus loses only in-flight documents, never part of one.
+// MultiBatchEngine is the storage surface the loader writes through
+// (satisfied by *engine.DB): per-table row batches applied as one atomic
+// unit. Every document reaches the engine as exactly one such call — on
+// a durable engine that is one write-ahead-log frame and one fsync, so a
+// document is stored whole or not at all, and a crash loses only
+// in-flight documents, never part of one.
 type MultiBatchEngine interface {
-	BatchEngine
 	// InsertBatchMulti atomically appends per-table batches in slice
 	// order.
 	InsertBatchMulti(tables []string, batches [][][]any) (int, error)
@@ -73,14 +56,14 @@ type Scanner interface {
 }
 
 // Loader shreds documents conforming to one mapped DTD into an engine
-// database. It is safe for concurrent use: LoadDocument, LoadStaged and
-// LoadCorpus may be called from multiple goroutines at once — document
-// and per-entity row ids come from atomic counters, and all other
-// loader state is immutable after NewLoader.
+// database. It is safe for concurrent use: LoadDocument and LoadCorpus
+// may be called from multiple goroutines at once — document and
+// per-entity row ids come from atomic counters, and all other loader
+// state is immutable after NewLoader.
 type Loader struct {
 	res     *core.Result
 	mapping *ermap.Mapping
-	db      Engine
+	db      MultiBatchEngine
 
 	groupBody map[string]*dtd.Particle
 	groupRel  map[string]*core.Rel
@@ -88,7 +71,7 @@ type Loader struct {
 	refRels   map[string][]*core.Rel
 	distilled map[string]map[string]bool
 
-	// defs and flushOrder drive staged (batched) loading: defs maps
+	// defs and flushOrder lay a staged document out as batches: defs maps
 	// table names to their schemas; flushOrder is a parents-before-
 	// children table order, nil when the FK graph is cyclic.
 	defs       map[string]*rel.Table
@@ -121,7 +104,7 @@ type Stats struct {
 
 // NewLoader builds a loader for a mapping. The engine database must
 // already contain the mapping's schema.
-func NewLoader(res *core.Result, m *ermap.Mapping, db Engine) (*Loader, error) {
+func NewLoader(res *core.Result, m *ermap.Mapping, db MultiBatchEngine) (*Loader, error) {
 	l := &Loader{
 		res:       res,
 		mapping:   m,
@@ -236,11 +219,14 @@ func (l *Loader) LoadXML(src, name string) (Stats, error) {
 	return l.LoadDocument(doc, name)
 }
 
-// LoadDocument shreds one parsed document into the database, one row
-// insert at a time.
+// LoadDocument shreds one parsed document: the traversal stages every
+// row, then the whole document goes to the engine as one atomic
+// multi-table batch. Constraint violations therefore surface at the end
+// of the document rather than mid-traversal, and a failed document
+// leaves nothing behind.
 func (l *Loader) LoadDocument(doc *xmltree.Document, name string) (Stats, error) {
 	start := time.Now()
-	st, err := l.loadVia(l.db, doc, name)
+	st, err := l.load(doc, name)
 	l.observeDoc(name, start, st, err)
 	return st, err
 }
@@ -271,15 +257,17 @@ func (l *Loader) observeDoc(name string, start time.Time, st Stats, err error) {
 	}
 }
 
-// loadVia shreds one document, writing every row through the given
-// engine (the live database, or a stagedBatch during batched loading).
-func (l *Loader) loadVia(db Engine, doc *xmltree.Document, name string) (Stats, error) {
+// load stages one document and commits it with a single InsertBatchMulti
+// call: one batch per table in parents-before-children order, or — when
+// the FK graph is cyclic (the fold strategy over mutually recursive
+// element types) — one batch per run in exact document order.
+func (l *Loader) load(doc *xmltree.Document, name string) (Stats, error) {
 	if doc.Root == nil {
 		return Stats{}, fmt.Errorf("shred: document %q has no root element", name)
 	}
 	st := &docState{
 		l:       l,
-		db:      db,
+		stg:     stagedBatch{defs: l.defs},
 		ids:     make(map[string][2]any),
 		deriver: cmodel.NewDeriver(func(n string) *dtd.Particle { return l.groupBody[n] }),
 	}
@@ -291,54 +279,28 @@ func (l *Loader) loadVia(db Engine, doc *xmltree.Document, name string) (Stats, 
 	if err := st.resolveRefs(); err != nil {
 		return Stats{}, fmt.Errorf("shred: document %q: %w", name, err)
 	}
-	if _, err := db.Insert("x_docs", []any{st.docID, name, doc.Root.Name, rootID}); err != nil {
-		return Stats{}, err
-	}
-	st.stats.DocID = st.docID
-	return st.stats, nil
-}
-
-// LoadStaged shreds one document into per-table row batches and flushes
-// them through the engine's batch API, so a whole document costs a
-// handful of lock acquisitions instead of one per row. Constraint
-// violations surface at flush time rather than mid-traversal. Falls
-// back to LoadDocument when the engine has no batch support.
-func (l *Loader) LoadStaged(doc *xmltree.Document, name string) (Stats, error) {
-	be, ok := l.db.(BatchEngine)
-	if !ok {
-		return l.LoadDocument(doc, name)
-	}
-	start := time.Now()
-	st, err := l.loadStagedVia(be, doc, name)
-	l.observeDoc(name, start, st, err)
-	return st, err
-}
-
-func (l *Loader) loadStagedVia(be BatchEngine, doc *xmltree.Document, name string) (Stats, error) {
-	stg := &stagedBatch{defs: l.defs}
-	st, err := l.loadVia(stg, doc, name)
-	if err != nil {
+	if err := st.stg.stage("x_docs", []any{st.docID, name, doc.Root.Name, rootID}); err != nil {
 		return Stats{}, err
 	}
 	if l.flushOrder == nil && l.obsM != nil {
 		l.obsM.FlushFallbacks.Inc()
 	}
-	if err := stg.flush(be, l.flushOrder); err != nil {
+	tables, batches := st.stg.plan(l.flushOrder)
+	if _, err := l.db.InsertBatchMulti(tables, batches); err != nil {
 		return Stats{}, fmt.Errorf("shred: document %q: %w", name, err)
 	}
-	return st, nil
+	st.stats.DocID = st.docID
+	return st.stats, nil
 }
 
-// LoadCorpus shreds many documents concurrently with a pool of workers
-// (workers <= 0 uses GOMAXPROCS). Each worker stages one document at a
-// time and flushes it as per-table batches in parents-before-children
-// order, so the engine's foreign-key enforcement stays on throughout.
+// LoadCorpus is LoadDocument over many documents with a pool of workers
+// (workers <= 0 uses GOMAXPROCS): each worker loads one document at a
+// time, so the engine's foreign-key enforcement stays on throughout.
 // Document i is registered under the name "doc-i". It returns the
 // per-document stats in input order; on error the corpus may be
-// partially loaded (whole documents only — a document either flushes
-// its batches or contributes nothing past the failed one). Failures
-// carry per-document context: the error is a *CorpusError whose Docs
-// list each failed document's index, name and cause.
+// partially loaded (whole documents only). Failures carry per-document
+// context: the error is a *CorpusError whose Docs list each failed
+// document's index, name and cause.
 func (l *Loader) LoadCorpus(docs []*xmltree.Document, workers int) ([]Stats, error) {
 	return l.LoadCorpusNamed(docs, nil, workers)
 }
@@ -351,11 +313,11 @@ func (l *Loader) LoadCorpusNamed(docs []*xmltree.Document, names []string, worke
 }
 
 // LoadCorpusContext is LoadCorpusNamed with cancellation: when ctx is
-// cancelled no further documents start (in-flight ones finish and their
-// flushes stay atomic) and the context's error is returned unless a
-// document failure already occurred. A panic inside a per-document
-// worker is recovered and reported as that document's *DocError instead
-// of taking the process down.
+// cancelled no further documents start (in-flight ones finish whole)
+// and the context's error is returned unless a document failure already
+// occurred. A panic inside a per-document worker is recovered and
+// reported as that document's *DocError instead of taking the process
+// down.
 func (l *Loader) LoadCorpusContext(ctx context.Context, docs []*xmltree.Document, names []string, workers int) ([]Stats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -386,7 +348,7 @@ func (l *Loader) LoadCorpusContext(ctx context.Context, docs []*xmltree.Document
 					name = names[i]
 				}
 				t0 := time.Now()
-				st, err := l.loadStagedGuard(docs[i], name)
+				st, err := l.loadGuard(docs[i], name)
 				busy.Add(int64(time.Since(t0)))
 				if err != nil {
 					failed.Store(true)
@@ -438,17 +400,17 @@ feed:
 	return stats, nil
 }
 
-// loadStagedGuard is LoadStaged behind a panic fence: a shredder bug or
-// a nil document surfaces as an error on that document, not a crash of
+// loadGuard is LoadDocument behind a panic fence: a shredder bug or a
+// nil document surfaces as an error on that document, not a crash of
 // the whole corpus load.
-func (l *Loader) loadStagedGuard(doc *xmltree.Document, name string) (st Stats, err error) {
+func (l *Loader) loadGuard(doc *xmltree.Document, name string) (st Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			st = Stats{}
 			err = fmt.Errorf("shred: panic loading document %q: %v", name, r)
 		}
 	}()
-	return l.LoadStaged(doc, name)
+	return l.LoadDocument(doc, name)
 }
 
 func (l *Loader) allocDoc() int64 {
@@ -478,7 +440,7 @@ type pendingRef struct {
 
 type docState struct {
 	l       *Loader
-	db      Engine // the live database, or a stagedBatch
+	stg     stagedBatch
 	docID   int64
 	deriver *cmodel.Deriver
 	ids     map[string][2]any // ID value -> {entity name, row id}
@@ -577,15 +539,24 @@ func (st *docState) element(el *xmltree.Node, fold *foldLink) (int64, error) {
 			for _, itemDeriv := range deriv.Reps[0].Children {
 				p := itemDeriv.Particle
 				if p.Kind == dtd.PKName && l.distilled[el.Name] != nil && l.distilled[el.Name][p.Name] {
+					// A distilled child is (#PCDATA) with no declared
+					// attributes; only its text has a column to land in.
 					for _, rep := range itemDeriv.Reps {
-						row[em.AttrCols[p.Name]] = children[rep.Index].Text()
+						c := children[rep.Index]
+						if len(c.Attrs) > 0 {
+							return 0, fmt.Errorf("attribute %q of %q is not declared (at %s)", c.Attrs[0].Name, c.Name, c.Path())
+						}
+						if c.HasElementChildren() {
+							return 0, fmt.Errorf("element %q is (#PCDATA) but has element children (at %s)", c.Name, c.Path())
+						}
+						row[em.AttrCols[p.Name]] = c.Text()
 					}
 				}
 			}
 		}
 	}
 
-	if _, err := st.db.InsertMap(em.Table, row); err != nil {
+	if err := st.stg.stageMap(em.Table, row); err != nil {
 		return 0, fmt.Errorf("at %s: %w", el.Path(), err)
 	}
 	st.stats.Elements++
@@ -635,7 +606,7 @@ func (st *docState) mixedContent(el *xmltree.Node, parentID int64) error {
 			if c.Data == "" {
 				continue
 			}
-			if _, err := st.db.Insert("x_text", []any{st.docID, el.Name, parentID, ord, c.Data}); err != nil {
+			if err := st.stg.stage("x_text", []any{st.docID, el.Name, parentID, ord, c.Data}); err != nil {
 				return err
 			}
 			st.stats.TextChunks++
@@ -757,7 +728,7 @@ func (st *docState) loadChild(rel *core.Rel, parentID int64, child *xmltree.Node
 	if grp != nil {
 		vals["grp"] = grp
 	}
-	if _, err := st.db.InsertMap(rm.Table, vals); err != nil {
+	if err := st.stg.stageMap(rm.Table, vals); err != nil {
 		return err
 	}
 	st.stats.RelRows++
@@ -779,7 +750,7 @@ func (st *docState) virtualEntity(rel *core.Rel, entity string, parentID int64, 
 		row["parent"] = parentID
 		row["ord"] = int64(ord)
 	}
-	if _, err := st.db.InsertMap(em.Table, row); err != nil {
+	if err := st.stg.stageMap(em.Table, row); err != nil {
 		return 0, err
 	}
 	st.stats.Elements++
@@ -793,7 +764,7 @@ func (st *docState) virtualEntity(rel *core.Rel, entity string, parentID int64, 
 		if grp != nil {
 			vals["grp"] = grp
 		}
-		if _, err := st.db.InsertMap(rm.Table, vals); err != nil {
+		if err := st.stg.stageMap(rm.Table, vals); err != nil {
 			return 0, err
 		}
 		st.stats.RelRows++
@@ -835,7 +806,7 @@ func (st *docState) resolveRefs() error {
 			vals["target_type"] = hit[0]
 			vals["target"] = hit[1]
 		}
-		if _, err := st.db.InsertMap(rm.Table, vals); err != nil {
+		if err := st.stg.stageMap(rm.Table, vals); err != nil {
 			return err
 		}
 		st.stats.RefRows++
@@ -843,10 +814,9 @@ func (st *docState) resolveRefs() error {
 	return nil
 }
 
-// stagedBatch is a write-only Engine that buffers a document's rows as
-// runs of consecutive same-table inserts, in exact insert order. It
-// lets one worker shred a whole document without touching the shared
-// database, then flush it as a few large batches.
+// stagedBatch buffers a document's rows as runs of consecutive
+// same-table rows, in exact traversal order, so a whole document is
+// shredded without touching the shared database.
 type stagedBatch struct {
 	defs map[string]*rel.Table
 	runs []stagedRun
@@ -857,34 +827,37 @@ type stagedRun struct {
 	rows  [][]any
 }
 
-func (s *stagedBatch) Insert(table string, row []any) (int, error) {
+// stage appends one row given in column order.
+func (s *stagedBatch) stage(table string, row []any) error {
 	def := s.defs[table]
 	if def == nil {
-		return 0, fmt.Errorf("shred: no such table %q", table)
+		return fmt.Errorf("shred: no such table %q", table)
 	}
 	if len(row) != len(def.Columns) {
-		return 0, fmt.Errorf("shred: table %q expects %d values, got %d",
+		return fmt.Errorf("shred: table %q expects %d values, got %d",
 			table, len(def.Columns), len(row))
 	}
 	s.add(table, row)
-	return 0, nil
+	return nil
 }
 
-func (s *stagedBatch) InsertMap(table string, vals map[string]any) (int, error) {
+// stageMap appends one row given as column->value; omitted columns are
+// NULL.
+func (s *stagedBatch) stageMap(table string, vals map[string]any) error {
 	def := s.defs[table]
 	if def == nil {
-		return 0, fmt.Errorf("shred: no such table %q", table)
+		return fmt.Errorf("shred: no such table %q", table)
 	}
 	row := make([]any, len(def.Columns))
 	for k, v := range vals {
 		_, pos := def.Column(k)
 		if pos < 0 {
-			return 0, fmt.Errorf("shred: table %q has no column %q", table, k)
+			return fmt.Errorf("shred: table %q has no column %q", table, k)
 		}
 		row[pos] = v
 	}
 	s.add(table, row)
-	return 0, nil
+	return nil
 }
 
 func (s *stagedBatch) add(table string, row []any) {
@@ -895,33 +868,9 @@ func (s *stagedBatch) add(table string, row []any) {
 	s.runs = append(s.runs, stagedRun{table: table, rows: [][]any{row}})
 }
 
-// flush applies the staged rows through the batch API. With a
-// parents-before-children table order each table's rows go out as one
-// batch; without one (cyclic FK graph, possible under the fold strategy
-// with mutually recursive element types) the runs are flushed in exact
-// document order, which reproduces the serial loader's semantics. When
-// the engine supports multi-table batches the whole document goes out
-// as one atomic call, so a crash never leaves a partial document.
-func (s *stagedBatch) flush(db BatchEngine, order []string) error {
-	tables, batches := s.plan(order)
-	if len(tables) == 0 {
-		return nil
-	}
-	if mbe, ok := db.(MultiBatchEngine); ok {
-		_, err := mbe.InsertBatchMulti(tables, batches)
-		return err
-	}
-	for i, table := range tables {
-		if _, err := db.InsertBatch(table, batches[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// plan lays the staged runs out as per-table batches ready for flushing:
-// one batch per table in the given order, or one per run in document
-// order when no order exists.
+// plan lays the staged runs out as the batches of one InsertBatchMulti
+// call: one batch per table in the given order, or one per run in
+// document order when no order exists.
 func (s *stagedBatch) plan(order []string) (tables []string, batches [][][]any) {
 	if order == nil {
 		for _, run := range s.runs {
@@ -949,8 +898,7 @@ func (s *stagedBatch) plan(order []string) (tables []string, batches [][][]any) 
 // schema: every table appears after the tables its foreign keys
 // reference (self references are fine — within a table, document order
 // already puts parents first). It returns nil when the FK graph is
-// cyclic; staged loads then fall back to flushing runs in document
-// order.
+// cyclic; documents then commit as runs in document order.
 func flushOrderFor(s *rel.Schema) []string {
 	index := make(map[string]int, len(s.Tables))
 	for i, t := range s.Tables {

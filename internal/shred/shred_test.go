@@ -158,6 +158,8 @@ func TestLoadInvalidDocuments(t *testing.T) {
 		{"text in element content", `<monograph>hello<title>T</title></monograph>`},
 		{"duplicate id", `<article><title>T</title><author id="a"><name><lastname>x</lastname></name></author><author id="a"><name><lastname>y</lastname></name></author></article>`},
 		{"EMPTY with content", `<article><title>T</title><author id="a"><name><lastname>x</lastname></name></author><contactauthor>zz</contactauthor></article>`},
+		{"attribute on distilled child", `<book><booktitle>X</booktitle><author id="q"><name><lastname x="1">Brown</lastname></name></author></book>`},
+		{"element inside distilled child", `<book><booktitle>X</booktitle><author id="q"><name><lastname>Br<firstname>q</firstname>own</lastname></name></author></book>`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

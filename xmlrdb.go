@@ -296,7 +296,10 @@ func (p *Pipeline) MetricsSnapshot() obs.Snapshot { return p.Obs.Snapshot() }
 func (p *Pipeline) MetricsReport() string { return p.Obs.Snapshot().Report() }
 
 // LoadXML validates nothing beyond the mapping's own checks and shreds
-// one XML document into the store, returning its document id.
+// one XML document into the store, returning its document id. Like
+// every load method it commits the document atomically: one engine
+// batch — on a durable store one WAL frame and one fsync — or, on
+// error, nothing.
 func (p *Pipeline) LoadXML(src, name string) (int64, error) {
 	st, err := p.loader.LoadXML(src, name)
 	if err != nil {
@@ -344,9 +347,9 @@ func (p *Pipeline) ParseDocument(src string) (*xmltree.Document, error) {
 	return xmltree.ParseWith(src, xmltree.Options{ExternalDTD: p.DTD})
 }
 
-// LoadCorpus shreds many parsed documents concurrently with a pool of
-// workers (<= 0 means GOMAXPROCS), flushing each document as per-table
-// row batches. It returns the assigned document ids in input order.
+// LoadCorpus is LoadDocument over many parsed documents with a pool of
+// workers (<= 0 means GOMAXPROCS). It returns the assigned document ids
+// in input order.
 func (p *Pipeline) LoadCorpus(docs []*xmltree.Document, workers int) ([]int64, error) {
 	return p.LoadCorpusNamed(docs, nil, workers)
 }
@@ -359,7 +362,7 @@ func (p *Pipeline) LoadCorpusNamed(docs []*xmltree.Document, names []string, wor
 
 // LoadCorpusContext is LoadCorpusNamed with cancellation: when ctx is
 // cancelled no further documents start and the context's error is
-// returned; documents already flushed stay loaded (whole documents
+// returned; documents already committed stay loaded (whole documents
 // only).
 func (p *Pipeline) LoadCorpusContext(ctx context.Context, docs []*xmltree.Document, names []string, workers int) ([]int64, error) {
 	sts, err := p.loader.LoadCorpusContext(ctx, docs, names, workers)
