@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"xmlrdb/internal/experiments"
@@ -35,7 +36,7 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("xmlbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id (e1..e14) or all")
+	exp := fs.String("exp", "all", expUsage())
 	seed := fs.Int64("seed", 1, "workload seed")
 	list := fs.Bool("list", false, "list experiments and exit")
 	workers := fs.Int("workers", 0, "e5b: measure this worker count against the one-worker baseline (0 = default 1/2/4/8 sweep)")
@@ -101,6 +102,15 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprint(w, obs.SnapshotDefault().Report())
 	}
 	return nil
+}
+
+// expUsage is the -exp help text, listing every registered id.
+func expUsage() string {
+	var ids []string
+	for _, r := range experiments.All() {
+		ids = append(ids, r.ID)
+	}
+	return "experiment id (" + strings.Join(ids, ", ") + ") or all"
 }
 
 // jsonTable is the machine-readable form of one experiment's result:

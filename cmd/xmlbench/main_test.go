@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"xmlrdb/internal/experiments"
 )
 
 func TestList(t *testing.T) {
@@ -13,6 +15,17 @@ func TestList(t *testing.T) {
 	for _, id := range []string{"e1", "e7", "e12"} {
 		if !strings.Contains(out.String(), id) {
 			t.Errorf("list missing %s", id)
+		}
+	}
+}
+
+// TestExpUsageListsEveryID keeps the -exp help text in step with the
+// experiment registry.
+func TestExpUsageListsEveryID(t *testing.T) {
+	usage := expUsage()
+	for _, r := range experiments.All() {
+		if !strings.Contains(usage, r.ID+",") && !strings.Contains(usage, r.ID+")") {
+			t.Errorf("-exp help %q does not list %s", usage, r.ID)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -8,14 +9,16 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"xmlrdb/internal/sqldb"
 )
 
 // cboDB builds the skewed three-table chain the cost-based planner
 // tests run on: a tiny docs table, a large elems table whose rows pile
 // onto doc 1, and an even larger attrs table fanning out from elems.
-// Written as FROM elems JOIN attrs JOIN docs, the structural planner
-// hashes the biggest table first; the cost-based planner should start
-// from the one-row docs probe instead.
+// Written as FROM elems JOIN attrs JOIN docs, the written order hashes
+// the biggest table first; the cost-based planner should start from
+// the one-row docs probe instead.
 func cboDB(tb testing.TB) *DB {
 	tb.Helper()
 	db := Open()
@@ -69,8 +72,8 @@ const cboChainSQL = `SELECT COUNT(*) AS n FROM elems e` +
 
 // TestExplainGoldenPlansCBO pins the cost-based planner's choices on
 // the skewed chain: the reordered join starting from the one-row docs
-// index probe, the small-side hash builds ([build=outer]), the
-// structural plan for contrast, and the range-scan demotion boundary.
+// index probe, the small-side hash builds ([build=outer]), the written
+// order for contrast, and the range-scan demotion boundary.
 // Regenerate with:
 // go test ./internal/engine -run TestExplainGoldenPlansCBO -update
 func TestExplainGoldenPlansCBO(t *testing.T) {
@@ -79,23 +82,21 @@ func TestExplainGoldenPlansCBO(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name       string
-		sql        string
-		structural bool
+		name string
+		sql  string
+		pick joinOrderFunc
 	}{
-		{"cbo_chain", cboChainSQL, false},
-		{"cbo_chain_structural", cboChainSQL, true},
+		{"cbo_chain", cboChainSQL, nil},
+		{"cbo_chain_written_order", cboChainSQL, inWrittenOrder},
 		// val >= 0 keeps every row: the ordered-index window covers the
 		// table, so the cost-based planner demotes to a sequential scan.
-		{"cbo_range_demote", `SELECT COUNT(*) AS n FROM elems WHERE val >= 0`, false},
+		{"cbo_range_demote", `SELECT COUNT(*) AS n FROM elems WHERE val >= 0`, nil},
 		// val < 40 keeps 120 of 3000 rows: the window stays worthwhile.
-		{"cbo_range_keep", `SELECT COUNT(*) AS n FROM elems WHERE val < 40`, false},
+		{"cbo_range_keep", `SELECT COUNT(*) AS n FROM elems WHERE val < 40`, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			db.SetCostBased(!tc.structural)
-			defer db.SetCostBased(true)
-			got := planRows(t, db, tc.sql)
+			got := planInOrder(t, db, tc.sql, tc.pick)
 			path := filepath.Join("testdata", "explain", tc.name+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -144,14 +145,107 @@ var cboEquivalenceQueries = []string{
 	`SELECT e.id FROM elems e JOIN attrs a ON a.elem = e.id` +
 		` JOIN docs d ON e.doc = d.id WHERE d.name = 'd3' AND a.kind IN ('k0', 'k1')` +
 		` ORDER BY e.id LIMIT 25`,
+	// A reorderable three-source prefix under a LEFT JOIN suffix: the
+	// suffix stays last whatever order the prefix takes, and a.id 50-89
+	// find no elems2 row with val < 50.
+	`SELECT e.id, a.kind, f.val FROM elems e JOIN attrs a ON a.elem = e.id` +
+		` JOIN docs d ON e.doc = d.id LEFT JOIN elems2 f ON f.id = a.id AND f.val < 50` +
+		` WHERE d.name = 'd2'`,
 }
 
-// TestCBORowEquivalence is the planner-equivalence battery: every query
-// must return the same row multiset under the structural planner, the
-// cost-based planner without statistics, and the cost-based planner
-// with fresh ANALYZE statistics. Reordered plans may emit rows in a
-// different order, so comparisons sort the rendered rows (queries with
-// ORDER BY still agree on the sorted rendering).
+// inWrittenOrder joins the inner-join prefix exactly as the query was
+// written: the reference every other join order must agree with.
+func inWrittenOrder(est []float64, _ []poolCond) []int { return writtenOrder(len(est)) }
+
+// inOrder pins the inner-join prefix to one fixed permutation.
+func inOrder(perm []int) joinOrderFunc {
+	return func([]float64, []poolCond) []int { return perm }
+}
+
+// openInOrder opens a cursor over sql with the inner-join prefix joined
+// in the order pick returns (nil: the planner's own choice).
+func openInOrder(db *DB, sql string, pick joinOrderFunc) (*selectCursor, error) {
+	st, err := sqldb.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := st.(*sqldb.Select)
+	if !ok {
+		return nil, fmt.Errorf("not a query: %q", sql)
+	}
+	ctx := context.Background()
+	return db.openSelect(ctx, sel, newCancelCheck(ctx), false, pick)
+}
+
+// queryInOrder runs sql joined in the order pick returns.
+func queryInOrder(db *DB, sql string, pick joinOrderFunc) (*Rows, error) {
+	cur, err := openInOrder(db, sql, pick)
+	if err != nil {
+		return nil, err
+	}
+	return DrainCursor(cur)
+}
+
+// planInOrder runs sql joined in the order pick returns and renders its
+// executed plan in the deterministic rows-only form the golden files
+// pin.
+func planInOrder(t testing.TB, db *DB, sql string, pick joinOrderFunc) string {
+	t.Helper()
+	cur, err := openInOrder(db, sql, pick)
+	if err != nil {
+		t.Fatalf("explain %q: %v", sql, err)
+	}
+	defer cur.Close()
+	for cur.Next() {
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatalf("explain %q: %v", sql, err)
+	}
+	return renderPlan(cur.plan, explainRows)
+}
+
+// sortedRowsInOrder runs sql joined in the order pick returns and
+// renders each row as JSON, sorted: reordered plans may emit rows in a
+// different order, but the multiset must match.
+func sortedRowsInOrder(t *testing.T, db *DB, sql string, pick joinOrderFunc) []string {
+	t.Helper()
+	res, err := queryInOrder(db, sql, pick)
+	if err != nil {
+		t.Fatalf("Query(%q): %v", sql, err)
+	}
+	out := make([]string, len(res.Data))
+	for i, r := range res.Data {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = string(b)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// permutations returns every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			q := append(append(append([]int(nil), p[:at]...), n-1), p[at:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// TestCBORowEquivalence is the join-order battery: for every query,
+// every permutation of the inner-join prefix and the planner's own
+// choice must return the row multiset of the written order — first
+// without statistics, then with fresh ANALYZE statistics, which change
+// the access paths, estimates and build sides each order is planned
+// with.
 func TestCBORowEquivalence(t *testing.T) {
 	db := cboDB(t)
 	// A second large table for the self-join-shaped chain.
@@ -166,77 +260,62 @@ func TestCBORowEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sortedRows := func(sql string) []string {
-		t.Helper()
-		res, err := db.Query(sql)
-		if err != nil {
-			t.Fatalf("Query(%q): %v", sql, err)
-		}
-		out := make([]string, len(res.Data))
-		for i, r := range res.Data {
-			b, err := json.Marshal(r)
-			if err != nil {
+	want := make([][]string, len(cboEquivalenceQueries))
+	prefix := make([]int, len(cboEquivalenceQueries))
+	for qi, sql := range cboEquivalenceQueries {
+		want[qi] = sortedRowsInOrder(t, db, sql, func(est []float64, _ []poolCond) []int {
+			prefix[qi] = len(est)
+			return writtenOrder(len(est))
+		})
+	}
+	for _, phase := range []string{"no stats", "with stats"} {
+		if phase == "with stats" {
+			if err := db.Analyze(); err != nil {
 				t.Fatal(err)
 			}
-			out[i] = string(b)
 		}
-		sort.Strings(out)
-		return out
-	}
-	type variant struct {
-		name      string
-		costBased bool
-		analyze   bool
-	}
-	variants := []variant{
-		{"cost_no_stats", true, false},
-		{"cost_with_stats", true, true},
-	}
-	for _, sql := range cboEquivalenceQueries {
-		db.SetCostBased(false)
-		want := sortedRows(sql)
-		for _, v := range variants {
-			if v.analyze {
-				if err := db.Analyze(); err != nil {
-					t.Fatal(err)
+		for qi, sql := range cboEquivalenceQueries {
+			check := func(order string, pick joinOrderFunc) {
+				got := sortedRowsInOrder(t, db, sql, pick)
+				if len(got) != len(want[qi]) {
+					t.Errorf("%s, %s: %q returned %d rows, written order %d",
+						phase, order, sql, len(got), len(want[qi]))
+					return
+				}
+				for i := range got {
+					if got[i] != want[qi][i] {
+						t.Errorf("%s, %s: %q row %d = %s, written order %s",
+							phase, order, sql, i, got[i], want[qi][i])
+						return
+					}
 				}
 			}
-			db.SetCostBased(v.costBased)
-			got := sortedRows(sql)
-			db.SetCostBased(true)
-			if len(got) != len(want) {
-				t.Errorf("%s: %q returned %d rows, structural returned %d",
-					v.name, sql, len(got), len(want))
-				continue
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("%s: %q row %d = %s, structural %s", v.name, sql, i, got[i], want[i])
-					break
-				}
+			check("planner order", nil)
+			for _, perm := range permutations(prefix[qi]) {
+				check(fmt.Sprintf("order %v", perm), inOrder(perm))
 			}
 		}
 	}
 }
 
 // TestCBOPicksCheaperOrder is the bench-cbo-smoke acceptance check: on
-// the skewed chain the cost-based planner must produce a different plan
-// than the structural one — starting from the selective docs index
-// probe with a small-side hash build — and both must agree on the
-// result.
+// the skewed chain the cost-based planner must leave the written order
+// — starting from the selective docs index probe with a small-side
+// hash build — and both orders must agree on the result.
 func TestCBOPicksCheaperOrder(t *testing.T) {
 	db := cboDB(t)
 	if err := db.Analyze(); err != nil {
 		t.Fatal(err)
 	}
-	db.SetCostBased(false)
-	structural := planRows(t, db, cboChainSQL)
-	wantRows := queryData(t, db, cboChainSQL)
-	db.SetCostBased(true)
+	written := planInOrder(t, db, cboChainSQL, inWrittenOrder)
+	wantRows, err := queryInOrder(db, cboChainSQL, inWrittenOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
 	costed := planRows(t, db, cboChainSQL)
 	gotRows := queryData(t, db, cboChainSQL)
-	if costed == structural {
-		t.Fatalf("cost-based planner kept the structural join order:\n%s", costed)
+	if costed == written {
+		t.Fatalf("cost-based planner kept the written join order:\n%s", costed)
 	}
 	if !strings.Contains(costed, "IndexScan(docs AS d via docs_name)") {
 		t.Errorf("cost-based plan does not probe the selective docs index:\n%s", costed)
@@ -244,29 +323,28 @@ func TestCBOPicksCheaperOrder(t *testing.T) {
 	if !strings.Contains(costed, "[build=outer]") {
 		t.Errorf("cost-based plan never builds on the smaller outer side:\n%s", costed)
 	}
-	if len(gotRows) != 1 || len(wantRows) != 1 || gotRows[0][0] != wantRows[0][0] {
-		t.Fatalf("planners disagree: cost=%v structural=%v", gotRows, wantRows)
+	if len(gotRows) != 1 || len(wantRows.Data) != 1 || gotRows[0][0] != wantRows.Data[0][0] {
+		t.Fatalf("join orders disagree: cost=%v written=%v", gotRows, wantRows.Data)
 	}
-	// The structural plan hashes the 9000-row attrs table under the
-	// chain; the reordered plan must estimate its largest intermediate
-	// well below that.
-	if !strings.Contains(structural, "SeqScan(elems AS e) (est=3000") {
-		t.Errorf("structural plan no longer anchors on the elems scan:\n%s", structural)
+	// The written order joins the 3000-row elems scan to the 9000-row
+	// attrs table before the one-row docs probe can prune anything.
+	if !strings.Contains(written, "SeqScan(elems AS e) (est=3000") {
+		t.Errorf("written-order plan no longer anchors on the elems scan:\n%s", written)
 	}
 }
 
-// BenchmarkCBOJoinChain measures the skewed chain under both planners;
-// bench-cbo-smoke runs one iteration of each as a CI gate, and E13
-// reports the full numbers.
+// BenchmarkCBOJoinChain measures the skewed chain joined in written
+// order and in the cost-based planner's order; bench-cbo-smoke runs one
+// iteration of each as a CI gate.
 func BenchmarkCBOJoinChain(b *testing.B) {
 	db := cboDB(b)
 	if err := db.Analyze(); err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B) {
+	run := func(b *testing.B, pick joinOrderFunc) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rows, err := db.Query(cboChainSQL)
+			rows, err := queryInOrder(db, cboChainSQL, pick)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -275,14 +353,49 @@ func BenchmarkCBOJoinChain(b *testing.B) {
 			}
 		}
 	}
-	b.Run("structural", func(b *testing.B) {
-		db.SetCostBased(false)
-		defer db.SetCostBased(true)
-		run(b)
-	})
-	b.Run("costbased", func(b *testing.B) {
-		run(b)
-	})
+	b.Run("written_order", func(b *testing.B) { run(b, inWrittenOrder) })
+	b.Run("costbased", func(b *testing.B) { run(b, nil) })
+}
+
+// TestWideChainJoin covers a join chain longer than the 64 sources the
+// greedy ordering's bitsets address: the planner keeps the written
+// order and still applies each condition, whether written in ON or in
+// WHERE, at the join that completes its bindings.
+func TestWideChainJoin(t *testing.T) {
+	const n = 65
+	db := Open()
+	for i := 0; i < n; i++ {
+		if _, _, err := db.Exec(fmt.Sprintf(`CREATE TABLE t%d (id INTEGER PRIMARY KEY, p INTEGER)`, i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.InsertBatch(fmt.Sprintf("t%d", i), [][]any{{int64(1), int64(1)}, {int64(2), int64(2)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var on, from, where strings.Builder
+	on.WriteString("SELECT COUNT(*) FROM t0")
+	from.WriteString("SELECT COUNT(*) FROM t0")
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&on, " JOIN t%d ON t%d.p = t%d.id", i, i, i-1)
+		fmt.Fprintf(&from, ", t%d", i)
+		if i > 1 {
+			where.WriteString(" AND ")
+		}
+		fmt.Fprintf(&where, "t%d.p = t%d.id", i, i-1)
+	}
+	for _, sql := range []string{on.String(), from.String() + " WHERE " + where.String()} {
+		got := queryData(t, db, sql)
+		if len(got) != 1 || got[0][0] != int64(2) {
+			t.Fatalf("%d-table chain returned %v, want [[2]]", n, got)
+		}
+		plan, err := db.ExplainQueryContext(context.Background(), sql)
+		if err != nil {
+			t.Fatalf("EXPLAIN: %v", err)
+		}
+		if joins := strings.Count(plan, "HashJoin on"); joins != n-1 {
+			t.Errorf("plan has %d hash joins, want %d:\n%s", joins, n-1, plan)
+		}
+	}
 }
 
 // TestStatsBuild pins the ANALYZE statistics themselves: row counts,

@@ -73,8 +73,9 @@ type selectCursor struct {
 // locks drop and the returned cursor streams from the captured versions
 // holding nothing but its snapshot pin. A trace in ctx forces
 // per-operator timing on and records planning and (at Close) operator
-// spans.
-func (db *DB) openSelect(ctx context.Context, s *sqldb.Select, cc *cancelCheck, timing bool) (*selectCursor, error) {
+// spans. pick is the join order for buildPlan; nil lets the planner
+// choose.
+func (db *DB) openSelect(ctx context.Context, s *sqldb.Select, cc *cancelCheck, timing bool, pick joinOrderFunc) (*selectCursor, error) {
 	tr := obs.TraceFrom(ctx)
 	var selSpan *obs.Span
 	var sampleMask int64
@@ -126,7 +127,7 @@ func (db *DB) openSelect(ctx context.Context, s *sqldb.Select, cc *cancelCheck, 
 	if tr != nil {
 		planSpan = tr.StartChild(selSpan, "engine.plan")
 	}
-	plan, err := db.buildPlan(s, srcs, env)
+	plan, err := db.buildPlan(s, srcs, env, pick)
 	if planSpan != nil {
 		planSpan.SetAttr("tables", len(srcs))
 		planSpan.SetErr(err)
@@ -311,7 +312,7 @@ func (p *physPlan) digest() *obs.PlanDigest {
 // (Query, ExecContext): open a cursor, drain it, release the locks
 // before returning.
 func (db *DB) execSelect(ctx context.Context, s *sqldb.Select, cc *cancelCheck) (*Rows, error) {
-	cur, err := db.openSelect(ctx, s, cc, false)
+	cur, err := db.openSelect(ctx, s, cc, false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +383,7 @@ func (db *DB) queryCursor(ctx context.Context, sel *sqldb.Select, sql string) (C
 	if err := cc.now(); err != nil {
 		return nil, err
 	}
-	cur, err := db.openSelect(ctx, sel, cc, false)
+	cur, err := db.openSelect(ctx, sel, cc, false, nil)
 	if err != nil {
 		return nil, err
 	}

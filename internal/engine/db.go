@@ -57,12 +57,8 @@ type DB struct {
 	snapshotEvery int
 
 	// vecOff disables the vectorized batch executor (vector.go); the
-	// zero value keeps it on. costOff disables the statistics-driven
-	// cost-based planner (plan.go, stats.go): with it off the planner
-	// keeps the structural left-to-right join order and index-first
-	// access paths the seed planner used.
-	vecOff  bool
-	costOff bool
+	// zero value keeps it on.
+	vecOff bool
 
 	// statsClock is the statistics epoch: it advances every time any
 	// table's ANALYZE statistics are (re)installed, so plan caches can
@@ -84,16 +80,6 @@ type DB struct {
 func (db *DB) SetVectorized(on bool) {
 	db.mu.Lock()
 	db.vecOff = !on
-	db.mu.Unlock()
-}
-
-// SetCostBased toggles the statistics-driven cost-based planner (on by
-// default). With it off the planner keeps the structural left-to-right
-// join order; the plan-equivalence tests and the E13 experiment use the
-// toggle to compare both planners on identical data.
-func (db *DB) SetCostBased(on bool) {
-	db.mu.Lock()
-	db.costOff = !on
 	db.mu.Unlock()
 }
 

@@ -66,7 +66,7 @@ func (db *DB) ExplainQueryContext(ctx context.Context, sql string) (string, erro
 	if err := cc.now(); err != nil {
 		return "", err
 	}
-	cur, err := db.openSelect(ctx, sel, cc, true)
+	cur, err := db.openSelect(ctx, sel, cc, true, nil)
 	if err != nil {
 		return "", err
 	}
@@ -77,21 +77,4 @@ func (db *DB) ExplainQueryContext(ctx context.Context, sql string) (string, erro
 		return "", err
 	}
 	return renderPlan(cur.plan, explainTimed), nil
-}
-
-// explainRowsString runs a SELECT and renders its plan with row counts
-// but no timings — the deterministic form the golden tests pin.
-func (db *DB) explainRowsString(ctx context.Context, sel *sqldb.Select) (string, error) {
-	cc := newCancelCheck(ctx)
-	cur, err := db.openSelect(ctx, sel, cc, false)
-	if err != nil {
-		return "", err
-	}
-	defer cur.Close()
-	for cur.Next() {
-	}
-	if err := cur.Err(); err != nil {
-		return "", err
-	}
-	return renderPlan(cur.plan, explainRows), nil
 }

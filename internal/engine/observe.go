@@ -115,7 +115,7 @@ func (db *DB) execSelectObserved(ctx context.Context, sel *sqldb.Select, sql str
 	err := cc.now()
 	if err == nil {
 		var cur *selectCursor
-		cur, err = db.openSelect(ctx, sel, cc, false)
+		cur, err = db.openSelect(ctx, sel, cc, false, nil)
 		if err == nil {
 			db.observeCursor(cur, sql)
 			rows, derr := DrainCursor(cur)

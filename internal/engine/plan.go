@@ -127,16 +127,11 @@ func (db *DB) bindSelect(s *sqldb.Select) ([]source, *rowEnv, error) {
 	return srcs, env, nil
 }
 
-// classifiedConj is one WHERE conjunct routed to the join pipeline.
-type classifiedConj struct {
-	expr    sqldb.Expr
-	maxBind int // highest binding index referenced
-}
-
-// buildPlan turns a bound SELECT into the physical tree. The caller
-// holds db.mu shared and the statement's row locks (index postings are
-// consulted here).
-func (db *DB) buildPlan(s *sqldb.Select, srcs []source, env *rowEnv) (*physPlan, error) {
+// buildPlan turns a bound SELECT into the physical tree, joining the
+// inner-join prefix in the order pick chooses (nil: plannerJoinOrder).
+// The caller holds db.mu shared and the statement's row locks (index
+// postings are consulted here).
+func (db *DB) buildPlan(s *sqldb.Select, srcs []source, env *rowEnv, pick joinOrderFunc) (*physPlan, error) {
 	// Classify WHERE conjuncts: single-binding predicates push into
 	// their scan, two-sided equalities drive joins, the rest are
 	// residual filters above the join tree.
@@ -152,7 +147,7 @@ func (db *DB) buildPlan(s *sqldb.Select, srcs []source, env *rowEnv) (*physPlan,
 		}
 	}
 	pushed := make([][]sqldb.Expr, len(srcs))
-	var joinConjs []classifiedConj
+	var joinConjs []sqldb.Expr
 	var residual []sqldb.Expr
 	for _, c := range whereConjs {
 		refs, err := exprRefs(c, env)
@@ -180,30 +175,19 @@ func (db *DB) buildPlan(s *sqldb.Select, srcs []source, env *rowEnv) (*physPlan,
 			// preserve outer-join semantics.
 			residual = append(residual, c)
 		default:
-			joinConjs = append(joinConjs, classifiedConj{expr: c, maxBind: maxB})
+			joinConjs = append(joinConjs, c)
 		}
 	}
 
-	// Scan + join pipeline: the structural planner joins left to right
-	// exactly as written; the cost-based planner (default) reorders the
-	// inner-join prefix by estimated cardinality, picks access paths and
-	// hash build sides by cost, and estimates every operator's output
-	// from ANALYZE statistics. Both return the conjuncts they could not
-	// consume, which become residual filters.
-	var node planNode
-	var leftoverConjs []classifiedConj
-	var err error
-	if db.costOff {
-		node, leftoverConjs, err = db.planPipelineStructural(srcs, env, pushed, joinConjs)
-	} else {
-		node, leftoverConjs, err = db.planPipelineCost(srcs, env, pushed, joinConjs)
-	}
+	// Scan + join pipeline: the inner-join prefix is joined in the
+	// order pick chooses (the planner's own choice when nil), the LEFT
+	// suffix as written. Conjuncts the pipeline could not consume become
+	// residual filters.
+	node, leftover, err := db.planPipeline(srcs, env, pushed, joinConjs, pick)
 	if err != nil {
 		return nil, err
 	}
-	for _, jc := range leftoverConjs {
-		residual = append(residual, jc.expr)
-	}
+	residual = append(residual, leftover...)
 	if len(residual) > 0 {
 		node = &filterNode{child: node, preds: residual,
 			nodeBase: nodeBase{hint: shrink(node.estimate())}}
@@ -269,75 +253,39 @@ func (db *DB) buildPlan(s *sqldb.Select, srcs []source, env *rowEnv) (*physPlan,
 	return &physPlan{root: node, cols: cols, env: env}, nil
 }
 
-// planPipelineStructural is the seed planner's join pipeline: scan and
-// join strictly left to right as the query was written, consuming join
-// conjuncts at the first join whose binding completes them. Kept intact
-// behind SetCostBased(false) as the baseline the equivalence battery
-// and the E13 experiment compare against.
-func (db *DB) planPipelineStructural(srcs []source, env *rowEnv, pushed [][]sqldb.Expr, joinConjs []classifiedConj) (planNode, []classifiedConj, error) {
-	root, err := db.planScan(srcs[0], env, pushed[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	var node planNode = root
-	for bi := 1; bi < len(srcs); bi++ {
-		src := srcs[bi]
-		var conds []sqldb.Expr
-		conds = append(conds, splitAnd(src.on)...)
-		if !src.left {
-			rest := joinConjs[:0]
-			for _, jc := range joinConjs {
-				if jc.maxBind == bi {
-					conds = append(conds, jc.expr)
-				} else {
-					rest = append(rest, jc)
-				}
-			}
-			joinConjs = rest
-		}
-		inner, err := db.planScan(src, env, pushed[bi])
-		if err != nil {
-			return nil, nil, err
-		}
-		node = planJoin(node, inner, bi, conds, env, src.left)
-	}
-	// Join conjuncts never consumed (e.g. referencing only later
-	// bindings under LEFT joins) become residual filters.
-	return node, joinConjs, nil
-}
-
-// poolCond is one reorderable join condition: the conjunct, the bitset
-// of bindings it references, and its estimated selectivity.
+// poolCond is one reorderable join condition: the conjunct, the
+// bindings it references (as a list, and as a bitset for the greedy
+// ordering), and its estimated selectivity.
 type poolCond struct {
-	expr sqldb.Expr
-	mask uint64
-	sel  float64
+	expr  sqldb.Expr
+	binds []int
+	mask  uint64
+	sel   float64
 }
 
-// planPipelineCost is the statistics-driven join pipeline. The
-// inner-join prefix (every source before the first LEFT join) is
-// reorderable: its join conjuncts and inner ON conditions form one
-// condition pool keyed by binding bitsets, a greedy ordering starts
-// from the smallest estimated scan and repeatedly joins the connected
-// source with the smallest estimated output, and each condition is
-// applied at the first join that covers its bindings. LEFT joins and
-// everything after them keep their written order. The flat row layout
-// makes all of this safe: every binding owns fixed column offsets, so
-// join order never changes the output shape — only how many rows flow
-// through the middle of the tree.
-func (db *DB) planPipelineCost(srcs []source, env *rowEnv, pushed [][]sqldb.Expr, joinConjs []classifiedConj) (planNode, []classifiedConj, error) {
+// joinOrderFunc chooses the order in which the reorderable inner-join
+// prefix is joined: a permutation of 0..len(est)-1, given each prefix
+// source's estimated scan output and the condition pool. Planning uses
+// plannerJoinOrder; tests pass fixed orders to check that every order
+// returns the same rows.
+type joinOrderFunc func(est []float64, pool []poolCond) []int
+
+// planPipeline is the statistics-driven join pipeline. The inner-join
+// prefix (every source before the first LEFT join) is reorderable: its
+// join conjuncts and inner ON conditions form one condition pool, pick
+// orders the prefix from the estimated scan outputs, and buildJoinTree
+// applies each condition at the first join that covers its bindings.
+// LEFT joins and everything after them keep their written order. The
+// flat row layout makes any order safe: every binding owns fixed column
+// offsets, so join order never changes the output shape — only how
+// many rows flow through the middle of the tree.
+func (db *DB) planPipeline(srcs []source, env *rowEnv, pushed [][]sqldb.Expr, joinConjs []sqldb.Expr, pick joinOrderFunc) (planNode, []sqldb.Expr, error) {
 	prefix := len(srcs)
 	for i, src := range srcs {
 		if src.left {
 			prefix = i
 			break
 		}
-	}
-	if prefix == 0 || len(srcs) > 64 {
-		// Nothing reorderable (or too many sources for the bitsets):
-		// the structural pipeline with cost-refined scans still applies,
-		// but keeping the seed path exactly is simpler and just as good.
-		return db.planPipelineStructural(srcs, env, pushed, joinConjs)
 	}
 	bindIdx := make(map[string]int, len(env.bindings))
 	for i, b := range env.bindings {
@@ -357,27 +305,28 @@ func (db *DB) planPipelineCost(srcs []source, env *rowEnv, pushed [][]sqldb.Expr
 		if err != nil {
 			return err
 		}
-		mask, only := uint64(0), -1
+		pc := poolCond{expr: c, binds: make([]int, 0, len(refs))}
 		for name := range refs {
 			bi, ok := bindIdx[name]
 			if !ok {
 				return fmt.Errorf("engine: unknown table %q in join condition", name)
 			}
-			mask |= 1 << bi
-			only = bi
+			pc.binds = append(pc.binds, bi)
+			pc.mask |= 1 << bi
 		}
 		switch {
 		case len(refs) == 0:
 			constConds = append(constConds, c)
-		case len(refs) == 1 && !srcs[only].left:
-			pushedLoc[only] = append(pushedLoc[only], c)
+		case len(refs) == 1 && !srcs[pc.binds[0]].left:
+			pushedLoc[pc.binds[0]] = append(pushedLoc[pc.binds[0]], c)
 		default:
-			pool = append(pool, poolCond{expr: c, mask: mask, sel: condSelectivity(c, env, srcs)})
+			pc.sel = condSelectivity(c, env, srcs)
+			pool = append(pool, pc)
 		}
 		return nil
 	}
-	for _, jc := range joinConjs {
-		if err := addCond(jc.expr); err != nil {
+	for _, c := range joinConjs {
+		if err := addCond(c); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -394,68 +343,97 @@ func (db *DB) planPipelineCost(srcs []source, env *rowEnv, pushed [][]sqldb.Expr
 	for i := 0; i < prefix; i++ {
 		est[i] = float64(len(srcs[i].ver.rows)) * predsSelectivity(pushedLoc[i], srcs[i])
 	}
-	order := make([]int, 0, prefix)
-	if prefix >= 3 {
-		order = greedyJoinOrder(prefix, est, pool)
-	} else {
-		for i := 0; i < prefix; i++ {
-			order = append(order, i)
-		}
+	if pick == nil {
+		pick = plannerJoinOrder
 	}
+	return db.buildJoinTree(pick(est, pool), srcs, env, pushedLoc, constConds, pool)
+}
 
-	// Build the tree in the chosen order, consuming each pool condition
-	// at the first join that covers it.
+// buildJoinTree scans and joins the inner-join prefix in the given
+// order, then the LEFT-join suffix as written. Each pool condition is
+// applied at the first join after which all its bindings are joined;
+// the ones never covered (conditions over suffix bindings) are returned
+// for the residual filter.
+func (db *DB) buildJoinTree(order []int, srcs []source, env *rowEnv, pushed [][]sqldb.Expr, constConds []sqldb.Expr, pool []poolCond) (planNode, []sqldb.Expr, error) {
+	joined := make([]bool, len(srcs))
 	consumed := make([]bool, len(pool))
-	first := order[0]
-	firstPreds := append(append([]sqldb.Expr(nil), pushedLoc[first]...), constConds...)
-	root, err := db.planScanCost(srcs[first], env, firstPreds)
-	if err != nil {
-		return nil, nil, err
-	}
-	var node planNode = root
-	curMask := uint64(1) << first
-	for _, idx := range order[1:] {
-		newMask := curMask | 1<<idx
+	var node planNode
+	for step, idx := range order {
+		preds := pushed[idx]
+		if step == 0 {
+			preds = append(append([]sqldb.Expr(nil), preds...), constConds...)
+		}
+		scan, err := db.planScan(srcs[idx], env, preds)
+		if err != nil {
+			return nil, nil, err
+		}
+		joined[idx] = true
+		if step == 0 {
+			node = scan
+			continue
+		}
 		var conds []sqldb.Expr
-		for ci := range pool {
-			if !consumed[ci] && pool[ci].mask&^newMask == 0 {
+		for ci, pc := range pool {
+			if !consumed[ci] && allJoined(pc.binds, joined) {
 				consumed[ci] = true
-				conds = append(conds, pool[ci].expr)
+				conds = append(conds, pc.expr)
 			}
 		}
-		scan, err := db.planScanCost(srcs[idx], env, pushedLoc[idx])
-		if err != nil {
-			return nil, nil, err
-		}
-		node = db.planJoinCost(node, scan, idx, conds, env, false, srcs)
-		curMask = newMask
+		node = planJoin(node, scan, idx, conds, env, false, srcs)
 	}
-	// The LEFT-join suffix keeps the written order; pushed predicates on
-	// left-protected sources were already routed to residual upstream.
-	for bi := prefix; bi < len(srcs); bi++ {
+	// Pushed predicates on left-protected sources were already routed to
+	// residual upstream.
+	for bi := len(order); bi < len(srcs); bi++ {
 		src := srcs[bi]
-		scan, err := db.planScanCost(src, env, pushedLoc[bi])
+		scan, err := db.planScan(src, env, pushed[bi])
 		if err != nil {
 			return nil, nil, err
 		}
-		node = db.planJoinCost(node, scan, bi, splitAnd(src.on), env, src.left, srcs)
+		node = planJoin(node, scan, bi, splitAnd(src.on), env, src.left, srcs)
 	}
-	// Pool conditions never covered (defensive: conjuncts over suffix
-	// bindings) surface as residual filters, same as the structural path.
-	var leftover []classifiedConj
+	var leftover []sqldb.Expr
 	for ci := range pool {
 		if !consumed[ci] {
-			leftover = append(leftover, classifiedConj{expr: pool[ci].expr})
+			leftover = append(leftover, pool[ci].expr)
 		}
 	}
 	return node, leftover, nil
+}
+
+func allJoined(binds []int, joined []bool) bool {
+	for _, b := range binds {
+		if !joined[b] {
+			return false
+		}
+	}
+	return true
+}
+
+// writtenOrder is the identity join order: the prefix as written.
+func writtenOrder(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
+// plannerJoinOrder is the planner's choice: greedy from three sources
+// on, where order starts to matter, up to the 64 the condition bitsets
+// can address; the written order otherwise.
+func plannerJoinOrder(est []float64, pool []poolCond) []int {
+	if len(est) < 3 || len(est) > 64 {
+		return writtenOrder(len(est))
+	}
+	return greedyJoinOrder(est, pool)
 }
 
 // greedyJoinOrder orders the reorderable prefix: start at the smallest
 // estimated scan, then repeatedly add the source with the smallest
 // estimated join output, preferring sources connected to the joined set
 // by at least one pool condition (cross products only when forced).
-func greedyJoinOrder(prefix int, est []float64, pool []poolCond) []int {
+func greedyJoinOrder(est []float64, pool []poolCond) []int {
+	prefix := len(est)
 	order := make([]int, 0, prefix)
 	used := make([]bool, prefix)
 	start := 0
@@ -507,8 +485,12 @@ func greedyJoinOrder(prefix int, est []float64, pool []poolCond) []int {
 
 // planScan chooses the access path for one source: an index probe for
 // an equality predicate set covered by a hash index, a window over an
-// ordered index for range predicates, else a sequential scan. Pushed
-// predicates not consumed by the access path are re-checked per row.
+// ordered index for range predicates, else a sequential scan. A range
+// window covering most of the table demotes to a sequential scan (the
+// position indirection buys nothing at that point). Pushed predicates
+// not consumed by the access path are re-checked per row, and the
+// cardinality hint reflects their estimated selectivity, so executed
+// EXPLAIN compares a real estimate against the actual row count.
 func (db *DB) planScan(src source, env *rowEnv, preds []sqldb.Expr) (*scanNode, error) {
 	bi := -1
 	for i, b := range env.bindings {
@@ -518,6 +500,7 @@ func (db *DB) planScan(src source, env *rowEnv, preds []sqldb.Expr) (*scanNode, 
 		}
 	}
 	n := &scanNode{src: src, bind: env.bindings[bi], width: env.width()}
+	live := len(src.ver.rows)
 	eqCols, eqVals, restPreds, err := extractEqualities(preds, src, env)
 	if err != nil {
 		return nil, err
@@ -534,68 +517,17 @@ func (db *DB) planScan(src source, env *rowEnv, preds []sqldb.Expr) (*scanNode, 
 				pos = []int{}
 			}
 			n.access, n.indexName, n.positions, n.preds = accessIndex, ix.name, pos, restPreds
-		}
-	}
-	if n.access == "" {
-		// Range scan via an ordered index; every predicate is still
-		// re-checked per row, so the window is purely an optimization.
-		if ix, bounds, ok := extractRange(preds, src); ok {
-			pos := ix.scan(src.t, bounds)
-			if pos == nil {
-				pos = []int{}
-			}
-			n.access, n.indexName, n.positions, n.preds = accessRange, ix.name, pos, preds
-		} else {
-			n.access, n.preds = accessSeq, preds
-		}
-	}
-	if n.positions != nil {
-		n.hint = len(n.positions)
-	} else {
-		n.hint = len(src.ver.rows)
-	}
-	return n, nil
-}
-
-// planScanCost is planScan with two cost-based refinements: a range
-// window covering most of the table demotes to a plain sequential scan
-// (the position indirection buys nothing at that point), and the
-// cardinality hint reflects the pushed predicates' estimated
-// selectivity instead of the raw input size, so executed EXPLAIN
-// compares a real estimate against the actual row count.
-func (db *DB) planScanCost(src source, env *rowEnv, preds []sqldb.Expr) (*scanNode, error) {
-	bi := -1
-	for i, b := range env.bindings {
-		if b.name == src.ref.Name() {
-			bi = i
-			break
-		}
-	}
-	n := &scanNode{src: src, bind: env.bindings[bi], width: env.width()}
-	live := len(src.ver.rows)
-	eqCols, eqVals, restPreds, err := extractEqualities(preds, src, env)
-	if err != nil {
-		return nil, err
-	}
-	if len(eqCols) > 0 {
-		if ix := src.t.findIndex(eqCols); ix != nil {
-			// Same copied-postings contract as planScan.
-			pos := append([]int(nil), ix.m[encodeKey(eqVals)]...)
-			if pos == nil {
-				pos = []int{}
-			}
-			n.access, n.indexName, n.positions, n.preds = accessIndex, ix.name, pos, restPreds
 			n.hint = clampEst(float64(len(pos)) * predsSelectivity(restPreds, src))
 			return n, nil
 		}
 	}
+	// Range scan via an ordered index; every predicate is still
+	// re-checked per row, so the window is purely an optimization.
 	if ix, bounds, ok := extractRange(preds, src); ok {
 		pos := ix.scan(src.t, bounds)
 		if pos == nil {
 			pos = []int{}
 		}
-		// Demote wide windows: when the range keeps most of the table, a
-		// sequential scan reads the same rows without the indirection.
 		if float64(len(pos)) <= rangeDemoteFrac*float64(live) {
 			n.access, n.indexName, n.positions, n.preds = accessRange, ix.name, pos, preds
 			n.hint = len(pos)
@@ -608,16 +540,17 @@ func (db *DB) planScanCost(src source, env *rowEnv, preds []sqldb.Expr) (*scanNo
 }
 
 // rangeDemoteFrac is the window-coverage fraction past which a range
-// scan demotes to a sequential scan under cost-based planning.
+// scan demotes to a sequential scan.
 const rangeDemoteFrac = 0.8
 
-// planJoinCost builds the join operator for the cost-based pipeline:
-// the same hash-vs-nested-loop split as planJoin, but the cardinality
-// hint is the estimated join output (outer x inner scaled by each
-// condition's selectivity) and the hash build side goes to whichever
-// input is estimated smaller (LEFT joins always stream the outer —
-// unmatched-row emission depends on it).
-func (db *DB) planJoinCost(outer planNode, inner *scanNode, bi int, conds []sqldb.Expr, env *rowEnv, left bool, srcs []source) planNode {
+// planJoin builds the join operator: a hash join when at least one
+// equi-condition links the inner binding to the joined ones, else a
+// (filtered) nested loop. The cardinality hint is the estimated join
+// output (outer x inner scaled by each condition's selectivity) and the
+// hash build side goes to whichever input is estimated smaller (LEFT
+// joins always stream the outer — unmatched-row emission depends on
+// it).
+func planJoin(outer planNode, inner *scanNode, bi int, conds []sqldb.Expr, env *rowEnv, left bool, srcs []source) planNode {
 	b := env.bindings[bi]
 	equis, others := classifyJoinConds(conds, b, env)
 	oe, ie := float64(outer.estimate()), float64(inner.estimate())
@@ -645,29 +578,6 @@ func (db *DB) planJoinCost(outer planNode, inner *scanNode, bi int, conds []sqld
 	return &nlJoinNode{
 		outer: outer, inner: inner, conds: conds, left: left, bind: b,
 		nodeBase: nodeBase{hint: clampEst(out)},
-	}
-}
-
-// planJoin builds the join operator for the structural pipeline: a hash
-// join when at least one equi-condition links it to earlier bindings,
-// else a (filtered) nested loop.
-func planJoin(outer planNode, inner *scanNode, bi int, conds []sqldb.Expr, env *rowEnv, left bool) planNode {
-	b := env.bindings[bi]
-	equis, others := classifyJoinConds(conds, b, env)
-	if len(equis) > 0 {
-		return &hashJoinNode{
-			outer: outer, inner: inner, equis: equis, others: others,
-			left: left, bind: b, keysDesc: equiKeysDesc(env, equis),
-			nodeBase: nodeBase{hint: maxInt(outer.estimate(), inner.estimate())},
-		}
-	}
-	hint := outer.estimate() * inner.estimate()
-	if outer.estimate() != 0 && hint/outer.estimate() != inner.estimate() {
-		hint = int(^uint(0) >> 1) // overflow: saturate
-	}
-	return &nlJoinNode{
-		outer: outer, inner: inner, conds: conds, left: left, bind: b,
-		nodeBase: nodeBase{hint: hint},
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"xmlrdb/internal/obs"
-	"xmlrdb/internal/sqldb"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the EXPLAIN golden files")
@@ -21,15 +20,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the EXPLAIN golden files"
 // rows-only form the golden files pin.
 func planRows(t *testing.T, db *DB, sql string) string {
 	t.Helper()
-	st, err := sqldb.Parse(sql)
-	if err != nil {
-		t.Fatalf("Parse(%q): %v", sql, err)
-	}
-	out, err := db.explainRowsString(context.Background(), st.(*sqldb.Select))
-	if err != nil {
-		t.Fatalf("explain %q: %v", sql, err)
-	}
-	return out
+	return planInOrder(t, db, sql, nil)
 }
 
 // TestDuplicateBindingRejected pins the plan-time error for two FROM

@@ -69,7 +69,7 @@ func (t *Table) String() string {
 
 // Runner is a registered experiment.
 type Runner struct {
-	// ID is the experiment identifier (e1..e12).
+	// ID is the experiment identifier `xmlbench -exp` takes.
 	ID string
 	// Title describes it.
 	Title string
@@ -96,7 +96,6 @@ func All() []Runner {
 		{"e10", "ablation: attribute distilling (step 2) on/off", E10},
 		{"e11", "ablation: secondary index on IDREF point queries", E11},
 		{"e12", "storage footprint per mapping", E12},
-		{"e13", "plan quality: cost-based vs structural join order", E13},
 		{"e14", "vectorized execution: batched + dictionary vs row-at-a-time", E14},
 		{"e15", "request-tracing overhead: off vs sampled vs full", E15},
 	}

@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -69,6 +70,12 @@ type Server struct {
 	traceN atomic.Uint64 // round-robin sampling counter
 	mux    *http.ServeMux
 	srv    *http.Server
+
+	// connMu guards fresh and draining: fresh holds the connections that
+	// have not yet sent a request, which Shutdown closes up front.
+	connMu   sync.Mutex
+	fresh    map[net.Conn]struct{}
+	draining bool
 }
 
 // New builds a Server around an open pipeline. The pipeline stays
@@ -89,12 +96,13 @@ func New(p *xmlrdb.Pipeline, opts Options) *Server {
 		rec = obs.NewRecorder(0, opts.SlowQuery)
 	}
 	s := &Server{
-		p:    p,
-		opts: opts,
-		gate: make(chan struct{}, opts.MaxConcurrent),
-		obs:  m,
-		rec:  rec,
-		mux:  http.NewServeMux(),
+		p:     p,
+		opts:  opts,
+		gate:  make(chan struct{}, opts.MaxConcurrent),
+		obs:   m,
+		rec:   rec,
+		mux:   http.NewServeMux(),
+		fresh: make(map[net.Conn]struct{}),
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
@@ -104,8 +112,30 @@ func New(p *xmlrdb.Pipeline, opts Options) *Server {
 	s.mux.Handle("GET /doc/{id}", s.gated("doc", s.handleDoc))
 	s.mux.Handle("/debug/", obs.DebugMuxWith(m, rec))
 	s.mux.Handle("GET /metrics", obs.PromHandler(m))
-	s.srv = &http.Server{Handler: s.mux}
+	s.srv = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: 5 * time.Second,
+		// Long enough that a client's keep-alive connection outlives any
+		// pause between its requests.
+		IdleTimeout: 2 * time.Minute,
+		ConnState:   s.trackConn,
+	}
 	return s
+}
+
+// trackConn records which connections have not sent a request yet. One
+// that opens while Shutdown drains is closed at once.
+func (s *Server) trackConn(c net.Conn, state http.ConnState) {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	switch {
+	case state != http.StateNew:
+		delete(s.fresh, c)
+	case s.draining:
+		c.Close()
+	default:
+		s.fresh[c] = struct{}{}
+	}
 }
 
 // Recorder returns the server's flight recorder.
@@ -137,9 +167,20 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Shutdown stops accepting new connections and blocks until every
-// in-flight request has completed or ctx expires. Close the pipeline
-// only after Shutdown returns.
-func (s *Server) Shutdown(ctx context.Context) error { return s.srv.Shutdown(ctx) }
+// in-flight request has completed or ctx expires. Connections that have
+// not sent a request are closed first: net/http would otherwise count
+// each as busy for its first 5 s and hold the drain open. Close the
+// pipeline only after Shutdown returns.
+func (s *Server) Shutdown(ctx context.Context) error {
+	s.connMu.Lock()
+	s.draining = true
+	for c := range s.fresh {
+		c.Close()
+		delete(s.fresh, c)
+	}
+	s.connMu.Unlock()
+	return s.srv.Shutdown(ctx)
+}
 
 // gated wraps a query handler with the admission gate, the per-request
 // deadline and the serve metrics. A saturated gate sheds immediately

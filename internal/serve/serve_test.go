@@ -289,6 +289,55 @@ func newLocalListener() (net.Listener, error) {
 	return net.Listen("tcp", "127.0.0.1:0")
 }
 
+// acceptNotifier signals each accepted connection.
+type acceptNotifier struct {
+	net.Listener
+	accepted chan<- struct{}
+}
+
+func (l acceptNotifier) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		select {
+		case l.accepted <- struct{}{}:
+		default:
+		}
+	}
+	return c, err
+}
+
+// TestShutdownClosesSilentConn: a client that opens a connection and
+// never sends a request must not hold the drain open. net/http alone
+// counts such a connection as busy for its first 5 s.
+func TestShutdownClosesSilentConn(t *testing.T) {
+	s := New(testPipeline(t), Options{})
+	ln, err := newLocalListener()
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan struct{}, 1)
+	errCh := make(chan error, 1)
+	go func() { errCh <- s.Serve(acceptNotifier{ln, accepted}) }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	select {
+	case <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never accepted the connection")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown with one silent connection: %v", err)
+	}
+	if err := <-errCh; err != http.ErrServerClosed {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
+	}
+}
+
 // TestDisconnectReleasesCursorPin: a client that abandons a streaming
 // /query mid-response must not keep the MVCC snapshot pinned open —
 // the request-context guard in streamRows closes the cursor the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -26,7 +27,7 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	drain(resp)
 	if resp.StatusCode != 200 {
 		t.Fatalf("/query = %d", resp.StatusCode)
 	}
@@ -91,6 +92,14 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 	}
 }
 
+// drain reads a response to EOF before closing it. The server records
+// a request's trace before it writes the body's end, so a drained
+// response guarantees the recorder already holds the trace.
+func drain(resp *http.Response) {
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+}
+
 func names(spans []obs.SpanRecord) []string {
 	out := make([]string, len(spans))
 	for i, sp := range spans {
@@ -111,7 +120,7 @@ func TestTraceSamplingOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	drain(resp)
 	if got := resp.Header.Get("X-Request-ID"); got != "" {
 		t.Fatalf("untraced request got X-Request-ID %q", got)
 	}
@@ -133,7 +142,7 @@ func TestTraceSamplingOneInN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
+		drain(resp)
 	}
 	if got := len(s.Recorder().List()); got != 2 {
 		t.Fatalf("1-in-4 sampling over 8 requests recorded %d traces, want 2", got)
@@ -153,7 +162,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	drain(resp)
 	if resp.StatusCode != 200 {
 		t.Fatalf("/metrics = %d", resp.StatusCode)
 	}
