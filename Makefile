@@ -24,8 +24,10 @@ race:
 # checkpoints committing under open cursors, snapshot stability under
 # generation churn with concurrent vacuum, concurrent Close/Next, and
 # the serve guard that unpins abandoned cursors on client disconnect.
+MVCC_TESTS = TestSnapshot|TestWriterAndCheckpoint|TestCheckpointWithOpenCursor|TestPin|TestConcurrentClose|TestCompact|TestVacuum|TestServingMixStress
+
 race-mvcc:
-	$(GO) test -race -run 'TestSnapshot|TestWriterAndCheckpoint|TestCheckpointWithOpenCursor|TestPin|TestConcurrentClose|TestCompact|TestVacuum|TestServingMixStress' ./internal/engine/
+	$(GO) test -race -run '$(MVCC_TESTS)' ./internal/engine/
 	$(GO) test -race -run 'TestDisconnectReleasesCursorPin' ./internal/serve/
 
 # Batch-operator subset under the race detector: vectorized scans
@@ -46,11 +48,14 @@ crash-matrix:
 
 check: vet build test race race-vec race-mvcc crash-matrix flake explain-golden bench-streaming-smoke bench-vec-smoke bench-cbo-smoke serve-smoke
 
-# Flake gate: the serve and obs suites twenty times over in shuffled
-# order under the race detector, so timing-dependent tests (drain with
-# idle connections, trace recording racing the response) stay fixed.
+# Flake gate: the serve, obs and pathquery suites, and the race-mvcc
+# engine subset, twenty times over in shuffled order under the race
+# detector, so timing-dependent tests (drain with idle connections,
+# trace recording racing the response, union cursors closed mid-stream,
+# writers and checkpoints racing open cursors) stay fixed.
 flake:
-	$(GO) test -race -count=20 -shuffle=on ./internal/serve/ ./internal/obs/
+	$(GO) test -race -count=20 -shuffle=on ./internal/serve/ ./internal/obs/ ./internal/pathquery/
+	$(GO) test -race -count=20 -shuffle=on -run '$(MVCC_TESTS)' ./internal/engine/
 
 # Golden physical-plan tests: the executed EXPLAIN tree for the
 # planner's main shapes must match testdata/explain/*.golden

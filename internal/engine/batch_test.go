@@ -12,7 +12,7 @@ import (
 func batchDB(t *testing.T) *DB {
 	t.Helper()
 	db := Open()
-	_, _, err := db.ExecScript(`
+	err := execScript(db, `
 CREATE TABLE nodes (id INTEGER PRIMARY KEY, label TEXT NOT NULL, parent INTEGER,
   FOREIGN KEY (parent) REFERENCES nodes (id));
 CREATE TABLE tags (node INTEGER NOT NULL, tag TEXT NOT NULL,
@@ -184,7 +184,7 @@ func TestConcurrentBatchesAndReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := db.Query(`SELECT n.label FROM nodes n JOIN tags g ON g.node = n.id WHERE n.parent = 0`); err != nil {
+				if _, err := querySQL(db, `SELECT n.label FROM nodes n JOIN tags g ON g.node = n.id WHERE n.parent = 0`); err != nil {
 					t.Errorf("query: %v", err)
 					return
 				}

@@ -22,7 +22,7 @@ import (
 func cboDB(tb testing.TB) *DB {
 	tb.Helper()
 	db := Open()
-	_, _, err := db.ExecScript(`
+	err := execScript(db, `
 CREATE TABLE docs (id INTEGER PRIMARY KEY, name TEXT NOT NULL);
 CREATE TABLE elems (id INTEGER PRIMARY KEY, doc INTEGER NOT NULL, type TEXT NOT NULL,
   val INTEGER, FOREIGN KEY (doc) REFERENCES docs (id));
@@ -249,7 +249,7 @@ func permutations(n int) [][]int {
 func TestCBORowEquivalence(t *testing.T) {
 	db := cboDB(t)
 	// A second large table for the self-join-shaped chain.
-	if _, _, err := db.Exec(`CREATE TABLE elems2 (id INTEGER PRIMARY KEY, val INTEGER)`); err != nil {
+	if _, _, err := execSQL(db, `CREATE TABLE elems2 (id INTEGER PRIMARY KEY, val INTEGER)`); err != nil {
 		t.Fatal(err)
 	}
 	var rows [][]any
@@ -365,7 +365,7 @@ func TestWideChainJoin(t *testing.T) {
 	const n = 65
 	db := Open()
 	for i := 0; i < n; i++ {
-		if _, _, err := db.Exec(fmt.Sprintf(`CREATE TABLE t%d (id INTEGER PRIMARY KEY, p INTEGER)`, i)); err != nil {
+		if _, _, err := execSQL(db, fmt.Sprintf(`CREATE TABLE t%d (id INTEGER PRIMARY KEY, p INTEGER)`, i)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := db.InsertBatch(fmt.Sprintf("t%d", i), [][]any{{int64(1), int64(1)}, {int64(2), int64(2)}}); err != nil {
@@ -403,7 +403,7 @@ func TestWideChainJoin(t *testing.T) {
 // histogram invariants.
 func TestStatsBuild(t *testing.T) {
 	db := Open()
-	_, _, err := db.ExecScript(`
+	err := execScript(db, `
 CREATE TABLE t (id INTEGER PRIMARY KEY, grp TEXT, score INTEGER);
 `)
 	if err != nil {
@@ -475,11 +475,11 @@ func TestStatsDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Exec(`CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)`); err != nil {
+	if _, _, err := execSQL(db, `CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)`); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if _, _, err := db.Exec(fmt.Sprintf(`INSERT INTO t VALUES (%d, 'n%d')`, i, i%5)); err != nil {
+		if _, _, err := execSQL(db, fmt.Sprintf(`INSERT INTO t VALUES (%d, 'n%d')`, i, i%5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -497,7 +497,7 @@ func TestStatsDurability(t *testing.T) {
 	if !fresh.Analyzed || fresh.ChangesSince != 0 || fresh.Rows != 50 {
 		t.Fatalf("freshness after ANALYZE = %+v", fresh)
 	}
-	if _, _, err := db.Exec(`INSERT INTO t VALUES (50, 'later')`); err != nil {
+	if _, _, err := execSQL(db, `INSERT INTO t VALUES (50, 'later')`); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.StatsFreshnessReport()["t"].ChangesSince; got != 1 {

@@ -1,19 +1,14 @@
 package engine
 
-import (
-	"context"
-	"errors"
-
-	"xmlrdb/internal/sqldb"
-)
+import "context"
 
 // Context-aware execution: the serving layer runs statements with
 // per-request deadlines, and a long scan or join must notice
-// cancellation mid-flight instead of holding its read locks until the
-// full result is materialized. Cancellation is polled at checkpoints
-// every cancelStride rows, so the uncancelled hot path pays one
-// increment and a modulo per row — and a cancelled statement returns
-// the context's error with no partial result.
+// cancellation mid-flight instead of running to the end of its input.
+// Cancellation is polled at checkpoints every cancelStride rows, so the
+// uncancelled hot path pays one increment and a modulo per row — and a
+// cancelled statement returns the context's error with no partial
+// result.
 
 // cancelStride is the row interval between cancellation polls.
 const cancelStride = 512
@@ -58,36 +53,4 @@ func (c *cancelCheck) now() error {
 	default:
 		return nil
 	}
-}
-
-// ExecContext parses and executes one statement under a context: a
-// cancelled or timed-out context aborts long scans, joins and
-// projections at the next checkpoint and returns the context's error
-// (context.Canceled or context.DeadlineExceeded) with no partial
-// result. Mutations are checked once before they start; a statement
-// that began applying is never half-cancelled (the engine's own
-// atomicity rules decide what it keeps).
-func (db *DB) ExecContext(ctx context.Context, sql string) (Result, *Rows, error) {
-	st, err := sqldb.Parse(sql)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return db.execStmtObserved(ctx, st, sql)
-}
-
-// QueryContext parses and executes a SELECT under a context.
-func (db *DB) QueryContext(ctx context.Context, sql string) (*Rows, error) {
-	_, rows, err := db.ExecContext(ctx, sql)
-	if err != nil {
-		return nil, err
-	}
-	if rows == nil {
-		return nil, errors.New("engine: statement is not a query")
-	}
-	return rows, nil
-}
-
-// ExecStmtContext executes a parsed statement under a context.
-func (db *DB) ExecStmtContext(ctx context.Context, st sqldb.Stmt) (Result, *Rows, error) {
-	return db.execStmtObserved(ctx, st, "")
 }

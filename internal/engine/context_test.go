@@ -14,7 +14,7 @@ import (
 func bigDB(t *testing.T, rows int) *DB {
 	t.Helper()
 	db := Open()
-	if _, _, err := db.Exec("CREATE TABLE nums (n INTEGER PRIMARY KEY, v INTEGER)"); err != nil {
+	if _, _, err := execSQL(db, "CREATE TABLE nums (n INTEGER PRIMARY KEY, v INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
@@ -25,7 +25,7 @@ func bigDB(t *testing.T, rows int) *DB {
 		}
 		fmt.Fprintf(&b, "(%d, %d)", i, i%97)
 	}
-	if _, _, err := db.Exec(b.String()); err != nil {
+	if _, _, err := execSQL(db, b.String()); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -35,7 +35,7 @@ func TestQueryContextCancelled(t *testing.T) {
 	db := bigDB(t, 4096)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the query starts
-	rows, err := db.QueryContext(ctx, "SELECT COUNT(*) FROM nums a, nums b WHERE a.v = b.v")
+	rows, err := querySQLContext(ctx, db, "SELECT COUNT(*) FROM nums a, nums b WHERE a.v = b.v")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -49,7 +49,7 @@ func TestQueryContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond) // let the deadline pass
-	_, err := db.QueryContext(ctx, "SELECT COUNT(*) FROM nums a, nums b WHERE a.v = b.v")
+	_, err := querySQLContext(ctx, db, "SELECT COUNT(*) FROM nums a, nums b WHERE a.v = b.v")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -57,7 +57,7 @@ func TestQueryContextDeadline(t *testing.T) {
 
 func TestQueryContextBackgroundUnaffected(t *testing.T) {
 	db := bigDB(t, 512)
-	rows, err := db.QueryContext(context.Background(), "SELECT COUNT(*) FROM nums")
+	rows, err := querySQLContext(context.Background(), db, "SELECT COUNT(*) FROM nums")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestExecContextRefusesCancelledMutation(t *testing.T) {
 	db := bigDB(t, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := db.ExecContext(ctx, "INSERT INTO nums VALUES (1000, 1)"); !errors.Is(err, context.Canceled) {
+	if _, _, err := execSQLContext(ctx, db, "INSERT INTO nums VALUES (1000, 1)"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The insert must not have happened.
-	rows := db.MustQuery("SELECT COUNT(*) FROM nums WHERE n = 1000")
+	rows := mustQuery(db, "SELECT COUNT(*) FROM nums WHERE n = 1000")
 	if got := rows.Data[0][0]; got != int64(0) {
 		t.Fatalf("cancelled INSERT applied %v rows", got)
 	}
@@ -92,7 +92,7 @@ func TestQueryContextMidFlightCancel(t *testing.T) {
 		cancel()
 		close(done)
 	}()
-	rows, err := db.QueryContext(ctx, "SELECT COUNT(*) FROM nums a, nums b, nums c WHERE a.v = b.v AND b.v = c.v")
+	rows, err := querySQLContext(ctx, db, "SELECT COUNT(*) FROM nums a, nums b, nums c WHERE a.v = b.v AND b.v = c.v")
 	<-done
 	if err == nil {
 		// The query legitimately beat the cancel; nothing to assert.

@@ -29,7 +29,7 @@ type scriptOp struct {
 
 func exec1(sql string) func(db *DB) error {
 	return func(db *DB) error {
-		_, _, err := db.Exec(sql)
+		_, _, err := execSQL(db, sql)
 		return err
 	}
 }

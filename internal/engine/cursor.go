@@ -24,6 +24,11 @@ import (
 // safe to call concurrently with Next — serve's request-scoped guard
 // relies on that).
 //
+// Every statement runs through one of the engine's two entry points,
+// and both return a Cursor: QueryCursorContext takes a SELECT, and
+// ExecCursorContext takes any statement (a non-query yields an empty
+// cursor). DrainCursor is the one materializer:
+//
 //	cur, err := db.QueryCursorContext(ctx, sql)
 //	if err != nil { ... }
 //	defer cur.Close()
@@ -31,6 +36,8 @@ import (
 //		use(cur.Row())
 //	}
 //	if err := cur.Err(); err != nil { ... }
+//
+//	rows, err := engine.DrainCursor(cur) // or: the whole result at once
 type Cursor interface {
 	// Cols returns the output column names.
 	Cols() []string
@@ -308,17 +315,6 @@ func (p *physPlan) digest() *obs.PlanDigest {
 	return d
 }
 
-// execSelect runs a SELECT to completion for the materialized APIs
-// (Query, ExecContext): open a cursor, drain it, release the locks
-// before returning.
-func (db *DB) execSelect(ctx context.Context, s *sqldb.Select, cc *cancelCheck) (*Rows, error) {
-	cur, err := db.openSelect(ctx, s, cc, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	return DrainCursor(cur)
-}
-
 // cardinalityHinter is implemented by cursors that know their plan's
 // estimated output size, so DrainCursor can preallocate.
 type cardinalityHinter interface {
@@ -361,11 +357,10 @@ func DrainCursor(c Cursor) (*Rows, error) {
 }
 
 // QueryCursorContext parses a SELECT and returns a streaming cursor
-// over its result. Unlike QueryContext nothing is materialized: rows
-// are produced as the caller pulls them out of the snapshot the cursor
-// pinned at open, which stays pinned until the cursor is closed (or the
-// stream ends). A non-query statement is an error; use
-// ExecCursorContext to accept both.
+// over its result: rows are produced as the caller pulls them out of
+// the snapshot the cursor pinned at open, which stays pinned until the
+// cursor is closed (or the stream ends). A non-query statement is an
+// error. DrainCursor materializes the result.
 func (db *DB) QueryCursorContext(ctx context.Context, sql string) (Cursor, error) {
 	st, err := sqldb.Parse(sql)
 	if err != nil {
@@ -378,23 +373,30 @@ func (db *DB) QueryCursorContext(ctx context.Context, sql string) (Cursor, error
 	return db.queryCursor(ctx, sel, sql)
 }
 
+// queryCursor is the one way a SELECT runs: every read, streamed or
+// drained, opens here and is observed by observeCursor. A statement
+// that fails before its cursor exists is observed by observeFailedOpen.
 func (db *DB) queryCursor(ctx context.Context, sel *sqldb.Select, sql string) (Cursor, error) {
+	start := time.Now()
 	cc := newCancelCheck(ctx)
-	if err := cc.now(); err != nil {
-		return nil, err
+	err := cc.now()
+	var cur *selectCursor
+	if err == nil {
+		cur, err = db.openSelect(ctx, sel, cc, false, nil)
 	}
-	cur, err := db.openSelect(ctx, sel, cc, false, nil)
 	if err != nil {
+		db.observeFailedOpen(sql, start, err)
 		return nil, err
 	}
 	db.observeCursor(cur, sql)
 	return cur, nil
 }
 
-// ExecCursorContext parses and executes one statement, returning its
-// result as a cursor: SELECTs stream, everything else executes to
-// completion and yields an empty cursor (so callers like the HTTP
-// layer handle both uniformly).
+// ExecCursorContext parses and executes one statement of any kind,
+// returning its result as a cursor: a SELECT streams (as from
+// QueryCursorContext); any other statement runs to completion through
+// the statement dispatcher and yields an empty cursor, so callers like
+// the HTTP layer handle both uniformly.
 func (db *DB) ExecCursorContext(ctx context.Context, sql string) (Cursor, error) {
 	st, err := sqldb.Parse(sql)
 	if err != nil {
@@ -403,8 +405,7 @@ func (db *DB) ExecCursorContext(ctx context.Context, sql string) (Cursor, error)
 	if sel, ok := st.(*sqldb.Select); ok {
 		return db.queryCursor(ctx, sel, sql)
 	}
-	_, _, err = db.execStmtObserved(ctx, st, sql)
-	if err != nil {
+	if _, err := db.execStmtObserved(ctx, st, sql); err != nil {
 		return nil, err
 	}
 	return NewRowsCursor(&Rows{}), nil

@@ -39,7 +39,7 @@ type DB struct {
 	mu        sync.RWMutex
 	tables    map[string]*table
 	order     []string
-	enforceFK bool
+	enforceFK bool // off only while WAL replay re-applies checked operations
 
 	// obs, tracer and slowQuery are the observability hooks (see
 	// observe.go); all nil/zero by default and set before concurrent use.
@@ -130,15 +130,6 @@ type index struct {
 // Open returns an empty database with foreign-key enforcement enabled.
 func Open() *DB {
 	return &DB{tables: make(map[string]*table), enforceFK: true}
-}
-
-// SetEnforceFK toggles foreign-key checking on insert (bulk loaders that
-// insert parents before children can leave it on; loaders with forward
-// references may disable it and call CheckAllFKs afterwards).
-func (db *DB) SetEnforceFK(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.enforceFK = on
 }
 
 // CreateTable registers a table from a rel definition and builds indexes
@@ -765,8 +756,8 @@ func (db *DB) checkFKLocked(t *table, row []any, fk rel.ForeignKey) error {
 		ErrConstraint, t.def.Name, vals, fk.RefTable)
 }
 
-// CheckAllFKs verifies every foreign key of every table, for loaders
-// that disabled enforcement during bulk insert.
+// CheckAllFKs verifies every foreign key of every table (rows inserted
+// with enforcement off, as WAL replay does, are checked only here).
 func (db *DB) CheckAllFKs() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -866,7 +857,7 @@ type Result struct {
 	RowsAffected int
 }
 
-// Rows is a fully materialized query result.
+// Rows is a fully materialized query result (see DrainCursor).
 type Rows struct {
 	// Cols are the output column names.
 	Cols []string
@@ -874,93 +865,35 @@ type Rows struct {
 	Data [][]any
 }
 
-// Exec parses and executes one statement. SELECT statements return
-// (nil-Result, rows); others return (result, nil).
-func (db *DB) Exec(sql string) (Result, *Rows, error) {
-	st, err := sqldb.Parse(sql)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return db.execStmtObserved(context.Background(), st, sql)
-}
-
-// Query parses and executes a SELECT, returning its rows.
-func (db *DB) Query(sql string) (*Rows, error) {
-	_, rows, err := db.Exec(sql)
-	if err != nil {
-		return nil, err
-	}
-	if rows == nil {
-		return nil, errors.New("engine: statement is not a query")
-	}
-	return rows, nil
-}
-
-// MustQuery is Query but panics on error; for tests and examples.
-func (db *DB) MustQuery(sql string) *Rows {
-	rows, err := db.Query(sql)
-	if err != nil {
-		panic(err)
-	}
-	return rows
-}
-
-// ExecScript parses and executes a semicolon-separated script, returning
-// the result of the last statement.
-func (db *DB) ExecScript(sql string) (Result, *Rows, error) {
-	stmts, err := sqldb.ParseScript(sql)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	var res Result
-	var rows *Rows
-	for _, st := range stmts {
-		res, rows, err = db.ExecStmt(st)
-		if err != nil {
-			return Result{}, nil, err
-		}
-	}
-	return res, rows, nil
-}
-
-// ExecStmt executes a parsed statement.
-func (db *DB) ExecStmt(st sqldb.Stmt) (Result, *Rows, error) {
-	return db.execStmtObserved(context.Background(), st, "")
-}
-
-// dispatchStmt routes a parsed statement to its executor. The context
-// cancels SELECT execution at row-stride checkpoints; mutations and DDL
-// are checked once up front and then run to completion, so a statement
-// is either never started or fully applied under the engine's usual
-// atomicity rules.
-func (db *DB) dispatchStmt(ctx context.Context, st sqldb.Stmt) (Result, *Rows, error) {
-	cc := newCancelCheck(ctx)
-	if err := cc.now(); err != nil {
-		return Result{}, nil, err
+// dispatchStmt routes a parsed non-query statement to its executor.
+// SELECTs never come here: they open through queryCursor. Mutations
+// and DDL are checked against the context once up front and then run
+// to completion, so a statement is either never started or fully
+// applied under the engine's usual atomicity rules.
+func (db *DB) dispatchStmt(ctx context.Context, st sqldb.Stmt) (Result, error) {
+	if err := newCancelCheck(ctx).now(); err != nil {
+		return Result{}, err
 	}
 	switch s := st.(type) {
-	case *sqldb.Select:
-		rows, err := db.execSelect(ctx, s, cc)
-		return Result{}, rows, err
 	case *sqldb.Insert:
 		n, err := db.execInsert(ctx, s)
-		return Result{RowsAffected: n}, nil, err
+		return Result{RowsAffected: n}, err
 	case *sqldb.CreateTable:
-		return Result{}, nil, db.CreateTable(s.Def)
+		return Result{}, db.CreateTable(s.Def)
 	case *sqldb.CreateIndex:
 		if s.Ordered {
 			if len(s.Columns) != 1 {
-				return Result{}, nil, fmt.Errorf("engine: ordered indexes take exactly one column")
+				return Result{}, fmt.Errorf("engine: ordered indexes take exactly one column")
 			}
-			return Result{}, nil, db.CreateOrderedIndex(s.Name, s.Table, s.Columns[0])
+			return Result{}, db.CreateOrderedIndex(s.Name, s.Table, s.Columns[0])
 		}
-		return Result{}, nil, db.CreateIndex(s.Name, s.Table, s.Columns, s.Unique)
+		return Result{}, db.CreateIndex(s.Name, s.Table, s.Columns, s.Unique)
 	case *sqldb.DropTable:
 		err := db.DropTable(s.Table)
 		if err != nil && s.IfExists && errors.Is(err, ErrNoTable) {
 			err = nil
 		}
-		return Result{}, nil, err
+		return Result{}, err
 	case *sqldb.DropIndex:
 		// Only a not-found falls through to the ordered-index namespace
 		// (mirroring the DropTable/ErrNoTable path): a WAL failure or a
@@ -973,15 +906,15 @@ func (db *DB) dispatchStmt(ctx context.Context, st sqldb.Stmt) (Result, *Rows, e
 		if err != nil && s.IfExists && errors.Is(err, ErrNoIndex) {
 			err = nil
 		}
-		return Result{}, nil, err
+		return Result{}, err
 	case *sqldb.Update:
 		n, err := db.execUpdate(ctx, s)
-		return Result{RowsAffected: n}, nil, err
+		return Result{RowsAffected: n}, err
 	case *sqldb.Delete:
 		n, err := db.execDelete(ctx, s)
-		return Result{RowsAffected: n}, nil, err
+		return Result{RowsAffected: n}, err
 	default:
-		return Result{}, nil, fmt.Errorf("engine: unsupported statement %T", st)
+		return Result{}, fmt.Errorf("engine: unsupported statement %T", st)
 	}
 }
 

@@ -24,10 +24,10 @@ func TestDropIndexRefusesConstraintIndexes(t *testing.T) {
 		}
 		// The statement path must refuse too — with and without IF EXISTS
 		// (the index exists; the drop is forbidden, not missing).
-		if _, _, err := db.Exec("DROP INDEX " + name); err == nil {
+		if _, _, err := execSQL(db, "DROP INDEX "+name); err == nil {
 			t.Fatalf("DROP INDEX %s succeeded on a constraint-backed index", name)
 		}
-		if _, _, err := db.Exec("DROP INDEX IF EXISTS " + name); err == nil {
+		if _, _, err := execSQL(db, "DROP INDEX IF EXISTS "+name); err == nil {
 			t.Fatalf("DROP INDEX IF EXISTS %s swallowed a constraint refusal", name)
 		}
 	}
@@ -75,10 +75,10 @@ func TestDropIndexNotFoundSentinel(t *testing.T) {
 	if err := db.DropOrderedIndex("nope"); !errors.Is(err, ErrNoIndex) {
 		t.Errorf("DropOrderedIndex(nope) = %v, want ErrNoIndex", err)
 	}
-	if _, _, err := db.Exec("DROP INDEX IF EXISTS nope"); err != nil {
+	if _, _, err := execSQL(db, "DROP INDEX IF EXISTS nope"); err != nil {
 		t.Errorf("DROP INDEX IF EXISTS nope = %v, want nil", err)
 	}
-	if _, _, err := db.Exec("DROP INDEX nope"); !errors.Is(err, ErrNoIndex) {
+	if _, _, err := execSQL(db, "DROP INDEX nope"); !errors.Is(err, ErrNoIndex) {
 		t.Errorf("DROP INDEX nope = %v, want ErrNoIndex", err)
 	}
 }
@@ -93,7 +93,7 @@ func TestDropIndexIfExistsSurfacesWALFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.ExecScript(`
+	if err := execScript(db, `
 CREATE TABLE pts (id INTEGER PRIMARY KEY, x INTEGER);
 CREATE INDEX pts_x ON pts (x);
 INSERT INTO pts VALUES (1, 10), (2, 20);
@@ -101,7 +101,7 @@ INSERT INTO pts VALUES (1, 10), (2, 20);
 		t.Fatal(err)
 	}
 	fs.SetWriteBudget(0) // next WAL append tears and crashes the disk
-	_, _, err = db.Exec("DROP INDEX IF EXISTS pts_x")
+	_, _, err = execSQL(db, "DROP INDEX IF EXISTS pts_x")
 	if err == nil {
 		t.Fatal("DROP INDEX IF EXISTS reported success while the WAL append failed")
 	}
@@ -123,7 +123,7 @@ INSERT INTO pts VALUES (1, 10), (2, 20);
 func TestDropOrderedIndexFallbackPreservesError(t *testing.T) {
 	db := testDB(t)
 	err := func() error {
-		_, _, err := db.Exec("DROP INDEX authors_pk")
+		_, _, err := execSQL(db, "DROP INDEX authors_pk")
 		return err
 	}()
 	if err == nil {
@@ -143,7 +143,7 @@ func TestConstraintIndexSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.ExecScript(`
+	if err := execScript(db, `
 CREATE TABLE pts (id INTEGER PRIMARY KEY, x INTEGER);
 INSERT INTO pts VALUES (1, 10);
 `); err != nil {

@@ -27,9 +27,12 @@ func TestDropTableRefusesFKReferenced(t *testing.T) {
 	}
 }
 
+// WAL replay runs with FK enforcement off (the log already holds only
+// committed, checked operations), and a replayed DROP TABLE must not be
+// refused for the references it will drop later.
 func TestDropTableAllowedWithEnforcementOff(t *testing.T) {
 	db := testDB(t)
-	db.SetEnforceFK(false)
+	db.enforceFK = false
 	if err := db.DropTable("authors"); err != nil {
 		t.Fatalf("DropTable with enforcement off: %v", err)
 	}
@@ -37,7 +40,7 @@ func TestDropTableAllowedWithEnforcementOff(t *testing.T) {
 
 func TestDropTableSelfReferenceAllowed(t *testing.T) {
 	db := Open()
-	if _, _, err := db.Exec(`CREATE TABLE nodes (id INTEGER PRIMARY KEY, parent INTEGER,
+	if _, _, err := execSQL(db, `CREATE TABLE nodes (id INTEGER PRIMARY KEY, parent INTEGER,
   FOREIGN KEY (parent) REFERENCES nodes (id))`); err != nil {
 		t.Fatal(err)
 	}

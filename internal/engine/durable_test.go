@@ -73,7 +73,7 @@ func dumpState(db *DB) string {
 // runWorkload drives a representative mix of mutations through db.
 func runWorkload(t testing.TB, db *DB) {
 	t.Helper()
-	_, _, err := db.ExecScript(`
+	err := execScript(db, `
 CREATE TABLE authors (id INTEGER PRIMARY KEY, name TEXT NOT NULL, age INTEGER);
 CREATE TABLE books (id INTEGER PRIMARY KEY, title TEXT NOT NULL, author INTEGER,
   year INTEGER, FOREIGN KEY (author) REFERENCES authors (id));
@@ -95,7 +95,7 @@ INSERT INTO authors VALUES (2, 'Brown', 35);
 	); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = db.ExecScript(`
+	err = execScript(db, `
 CREATE INDEX books_year ON books (year);
 UPDATE books SET year = 2002 WHERE id = 12;
 DELETE FROM books WHERE id = 11;
@@ -125,7 +125,7 @@ func TestDurableReopenRoundTrip(t *testing.T) {
 	if got := dumpState(db2); got != want {
 		t.Errorf("state changed across reopen:\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
-	rows := db2.MustQuery(`SELECT title FROM books WHERE year > 2000 ORDER BY title`)
+	rows := mustQuery(db2, `SELECT title FROM books WHERE year > 2000 ORDER BY title`)
 	if len(rows.Data) != 1 || rows.Data[0][0] != "Data Models" {
 		t.Errorf("post-recovery query got %v", rows.Data)
 	}
@@ -195,7 +195,7 @@ func TestDurableSnapshotRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Exec(`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`); err != nil {
+	if _, _, err := execSQL(db, `CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 95; i++ {
@@ -266,7 +266,7 @@ func TestDurableConcurrentInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tb := range []string{"a", "b", "c"} {
-		if _, _, err := db.Exec(`CREATE TABLE ` + tb + ` (k INTEGER PRIMARY KEY, v TEXT)`); err != nil {
+		if _, _, err := execSQL(db, `CREATE TABLE `+tb+` (k INTEGER PRIMARY KEY, v TEXT)`); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -363,7 +363,7 @@ func TestUpdateDeleteRollbackOnWALFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Exec(`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`); err != nil {
+	if _, _, err := execSQL(db, `CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -374,7 +374,7 @@ func TestUpdateDeleteRollbackOnWALFailure(t *testing.T) {
 	want := dumpState(db)
 
 	fs.SetSyncBudget(0) // the next WAL barrier fails
-	res, _, err := db.Exec(`UPDATE kv SET v = 'changed' WHERE k >= 0`)
+	res, _, err := execSQL(db, `UPDATE kv SET v = 'changed' WHERE k >= 0`)
 	if err == nil {
 		t.Fatal("UPDATE with a failing WAL append reported success")
 	}
@@ -386,7 +386,7 @@ func TestUpdateDeleteRollbackOnWALFailure(t *testing.T) {
 	}
 
 	// The writer is now broken; DELETE must also fail and unwind.
-	res, _, err = db.Exec(`DELETE FROM kv WHERE k = 1`)
+	res, _, err = execSQL(db, `DELETE FROM kv WHERE k = 1`)
 	if err == nil {
 		t.Fatal("DELETE with a broken WAL reported success")
 	}

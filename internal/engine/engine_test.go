@@ -12,7 +12,7 @@ import (
 func testDB(t *testing.T) *DB {
 	t.Helper()
 	db := Open()
-	_, _, err := db.ExecScript(`
+	err := execScript(db, `
 CREATE TABLE authors (id INTEGER PRIMARY KEY, name TEXT NOT NULL, age INTEGER);
 CREATE TABLE books (id INTEGER PRIMARY KEY, title TEXT NOT NULL, author INTEGER,
   year INTEGER, FOREIGN KEY (author) REFERENCES authors (id));
@@ -28,7 +28,7 @@ INSERT INTO books VALUES (10, 'XML RDBMS', 1, 1999), (11, 'Go Systems', 2, 2005)
 
 func queryData(t *testing.T, db *DB, sql string) [][]any {
 	t.Helper()
-	rows, err := db.Query(sql)
+	rows, err := querySQL(db, sql)
 	if err != nil {
 		t.Fatalf("Query(%q): %v", sql, err)
 	}
@@ -67,7 +67,7 @@ func TestJoin(t *testing.T) {
 
 func TestThreeWayJoin(t *testing.T) {
 	db := testDB(t)
-	_, _, err := db.ExecScript(`
+	err := execScript(db, `
 CREATE TABLE awards (book INTEGER, prize TEXT);
 INSERT INTO awards VALUES (10, 'Best Paper'), (12, 'Honorable');
 `)
@@ -86,7 +86,7 @@ ORDER BY w.prize`)
 
 func TestLeftJoin(t *testing.T) {
 	db := testDB(t)
-	_, _, err := db.ExecScript(`
+	err := execScript(db, `
 CREATE TABLE reviews (book INTEGER, stars INTEGER);
 INSERT INTO reviews VALUES (10, 5);
 `)
@@ -180,7 +180,7 @@ func TestLimitOffset(t *testing.T) {
 	if got := queryData(t, db, `SELECT id FROM books ORDER BY id LIMIT 0`); len(got) != 0 {
 		t.Errorf("limit 0 = %v", got)
 	}
-	if _, err := db.Query(`SELECT id FROM books OFFSET`); err == nil {
+	if _, err := querySQL(db, `SELECT id FROM books OFFSET`); err == nil {
 		t.Error("bad syntax accepted")
 	}
 }
@@ -221,27 +221,27 @@ func TestOrderByPositionAndAlias(t *testing.T) {
 func TestConstraints(t *testing.T) {
 	db := testDB(t)
 	// PK duplicate.
-	_, _, err := db.Exec(`INSERT INTO authors VALUES (1, 'Dup', 1)`)
+	_, _, err := execSQL(db, `INSERT INTO authors VALUES (1, 'Dup', 1)`)
 	if !errors.Is(err, ErrConstraint) {
 		t.Errorf("pk dup err = %v", err)
 	}
 	// NOT NULL.
-	_, _, err = db.Exec(`INSERT INTO authors (id, age) VALUES (9, 3)`)
+	_, _, err = execSQL(db, `INSERT INTO authors (id, age) VALUES (9, 3)`)
 	if !errors.Is(err, ErrConstraint) {
 		t.Errorf("not null err = %v", err)
 	}
 	// FK violation.
-	_, _, err = db.Exec(`INSERT INTO books VALUES (20, 'Ghost', 99, 2000)`)
+	_, _, err = execSQL(db, `INSERT INTO books VALUES (20, 'Ghost', 99, 2000)`)
 	if !errors.Is(err, ErrConstraint) {
 		t.Errorf("fk err = %v", err)
 	}
 	// NULL FK allowed.
-	if _, _, err = db.Exec(`INSERT INTO books VALUES (21, 'NoAuthor', NULL, 2000)`); err != nil {
+	if _, _, err = execSQL(db, `INSERT INTO books VALUES (21, 'NoAuthor', NULL, 2000)`); err != nil {
 		t.Errorf("null fk: %v", err)
 	}
-	// FK enforcement off.
-	db.SetEnforceFK(false)
-	if _, _, err = db.Exec(`INSERT INTO books VALUES (22, 'Ghost2', 99, 2000)`); err != nil {
+	// FK enforcement off, as during WAL replay.
+	db.enforceFK = false
+	if _, _, err = execSQL(db, `INSERT INTO books VALUES (22, 'Ghost2', 99, 2000)`); err != nil {
 		t.Errorf("fk off: %v", err)
 	}
 	if err := db.CheckAllFKs(); err == nil {
@@ -275,14 +275,14 @@ func TestUniqueConstraint(t *testing.T) {
 
 func TestUpdateDelete(t *testing.T) {
 	db := testDB(t)
-	res, _, err := db.Exec(`UPDATE authors SET age = age + 1 WHERE name = 'Lee'`)
+	res, _, err := execSQL(db, `UPDATE authors SET age = age + 1 WHERE name = 'Lee'`)
 	if err != nil || res.RowsAffected != 1 {
 		t.Fatalf("update: %v %v", res, err)
 	}
 	if data := queryData(t, db, `SELECT age FROM authors WHERE name = 'Lee'`); data[0][0] != int64(51) {
 		t.Errorf("age = %v", data[0][0])
 	}
-	res, _, err = db.Exec(`DELETE FROM books WHERE year = 1999`)
+	res, _, err = execSQL(db, `DELETE FROM books WHERE year = 1999`)
 	if err != nil || res.RowsAffected != 2 {
 		t.Fatalf("delete: %v %v", res, err)
 	}
@@ -290,12 +290,12 @@ func TestUpdateDelete(t *testing.T) {
 		t.Errorf("rows = %d", db.RowCount("books"))
 	}
 	// Updating a PK to a duplicate must fail.
-	_, _, err = db.Exec(`UPDATE authors SET id = 2 WHERE id = 1`)
+	_, _, err = execSQL(db, `UPDATE authors SET id = 2 WHERE id = 1`)
 	if !errors.Is(err, ErrConstraint) {
 		t.Errorf("pk update err = %v", err)
 	}
 	// Index consistency after delete: the unique scan still works.
-	if _, _, err = db.Exec(`INSERT INTO books VALUES (10, 'Reused', 1, 2024)`); err != nil {
+	if _, _, err = execSQL(db, `INSERT INTO books VALUES (10, 'Reused', 1, 2024)`); err != nil {
 		t.Errorf("reuse deleted pk: %v", err)
 	}
 }
@@ -347,14 +347,14 @@ WHERE b1.year = b2.year AND b1.id < b2.id`)
 
 func TestStarForms(t *testing.T) {
 	db := testDB(t)
-	rows, err := db.Query(`SELECT * FROM authors WHERE id = 1`)
+	rows, err := querySQL(db, `SELECT * FROM authors WHERE id = 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows.Cols) != 3 || rows.Cols[0] != "id" {
 		t.Errorf("cols = %v", rows.Cols)
 	}
-	rows, err = db.Query(`SELECT a.* FROM authors a JOIN books b ON b.author = a.id WHERE b.id = 10`)
+	rows, err = querySQL(db, `SELECT a.* FROM authors a JOIN books b ON b.author = a.id WHERE b.id = 10`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,24 +374,24 @@ func TestErrors(t *testing.T) {
 		`SELECT SUM(name) FROM authors GROUP BY name HAVING SUM(name) > 0`,
 	}
 	for _, sql := range cases {
-		if _, _, err := db.Exec(sql); err == nil {
+		if _, _, err := execSQL(db, sql); err == nil {
 			t.Errorf("Exec(%q) succeeded, want error", sql)
 		}
 	}
-	if _, err := db.Query(`DELETE FROM books`); err == nil {
+	if _, err := querySQL(db, `DELETE FROM books`); err == nil {
 		t.Error("Query of non-select should fail")
 	}
 }
 
 func TestDropTableIfExists(t *testing.T) {
 	db := testDB(t)
-	if _, _, err := db.Exec(`DROP TABLE IF EXISTS nope`); err != nil {
+	if _, _, err := execSQL(db, `DROP TABLE IF EXISTS nope`); err != nil {
 		t.Errorf("if exists: %v", err)
 	}
-	if _, _, err := db.Exec(`DROP TABLE nope`); err == nil {
+	if _, _, err := execSQL(db, `DROP TABLE nope`); err == nil {
 		t.Error("drop missing should fail")
 	}
-	if _, _, err := db.Exec(`DROP TABLE books`); err != nil {
+	if _, _, err := execSQL(db, `DROP TABLE books`); err != nil {
 		t.Fatal(err)
 	}
 	if db.TableDef("books") != nil {
@@ -415,7 +415,7 @@ func TestStatsHelpers(t *testing.T) {
 
 func TestNullSemantics(t *testing.T) {
 	db := testDB(t)
-	if _, _, err := db.Exec(`INSERT INTO authors VALUES (9, 'NoAge', NULL)`); err != nil {
+	if _, _, err := execSQL(db, `INSERT INTO authors VALUES (9, 'NoAge', NULL)`); err != nil {
 		t.Fatal(err)
 	}
 	// NULL never compares equal.
@@ -475,7 +475,7 @@ func TestConcurrentReads(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		go func() {
 			for j := 0; j < 50; j++ {
-				if _, err := db.Query(`SELECT COUNT(*) FROM books JOIN authors ON books.author = authors.id`); err != nil {
+				if _, err := querySQL(db, `SELECT COUNT(*) FROM books JOIN authors ON books.author = authors.id`); err != nil {
 					done <- err
 					return
 				}
@@ -517,7 +517,7 @@ func TestTypeCoercion(t *testing.T) {
 
 func TestOrderByNullsFirst(t *testing.T) {
 	db := testDB(t)
-	if _, _, err := db.Exec(`INSERT INTO authors VALUES (8, 'Null Age', NULL)`); err != nil {
+	if _, _, err := execSQL(db, `INSERT INTO authors VALUES (8, 'Null Age', NULL)`); err != nil {
 		t.Fatal(err)
 	}
 	got := queryData(t, db, `SELECT name FROM authors ORDER BY age, name`)

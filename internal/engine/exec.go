@@ -8,8 +8,8 @@ import (
 
 // SELECT execution is split Volcano-style: plan.go binds sources and
 // builds the physical operator tree, operators.go streams rows through
-// it one at a time, cursor.go exposes the pull loop (and materializes
-// it for the non-streaming APIs). This file keeps the helpers both
+// it one at a time, cursor.go exposes the pull loop (DrainCursor is the
+// one materializer). This file keeps the helpers both
 // halves share: predicate/projection analysis and group-context
 // expression evaluation.
 

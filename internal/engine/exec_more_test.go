@@ -49,7 +49,7 @@ func TestScanTableAndLookup(t *testing.T) {
 	// Returned rows are copies: mutating them must not corrupt storage.
 	rows, _ = db.Lookup("books", []string{"id"}, []any{int64(10)})
 	rows[0][1] = "MUTATED"
-	fresh := db.MustQuery(`SELECT title FROM books WHERE id = 10`)
+	fresh := mustQuery(db, `SELECT title FROM books WHERE id = 10`)
 	if fresh.Data[0][0] != "XML RDBMS" {
 		t.Error("Lookup leaked internal row storage")
 	}
@@ -114,7 +114,7 @@ func TestExpressionEdgeCases(t *testing.T) {
 		{`SELECT 1 + NULL FROM authors LIMIT 1`, nil},
 	}
 	for _, c := range cases {
-		rows, err := db.Query(c.sql)
+		rows, err := querySQL(db, c.sql)
 		if err != nil {
 			t.Errorf("%s: %v", c.sql, err)
 			continue
@@ -138,7 +138,7 @@ func TestExpressionErrors(t *testing.T) {
 		`SELECT NUM(name) FROM authors WHERE name = 'Lee'`,
 	}
 	for _, sql := range cases {
-		if _, err := db.Query(sql); err == nil {
+		if _, err := querySQL(db, sql); err == nil {
 			t.Errorf("%s should fail", sql)
 		}
 	}
@@ -147,7 +147,7 @@ func TestExpressionErrors(t *testing.T) {
 func TestAggregateExpressions(t *testing.T) {
 	db := testDB(t)
 	// Arithmetic over aggregates and NOT in group context.
-	rows := db.MustQuery(`
+	rows := mustQuery(db, `
 SELECT author, MAX(year) - MIN(year) spread, NOT (COUNT(*) > 1)
 FROM books GROUP BY author ORDER BY author`)
 	if len(rows.Data) != 3 {
@@ -157,12 +157,12 @@ FROM books GROUP BY author ORDER BY author`)
 		t.Errorf("author 1 = %v", rows.Data[0])
 	}
 	// AVG over floats.
-	avg := db.MustQuery(`SELECT AVG(year) FROM books`)
+	avg := mustQuery(db, `SELECT AVG(year) FROM books`)
 	if avg.Data[0][0] != float64(1999+2005+2001+1999)/4 {
 		t.Errorf("avg = %v", avg.Data[0][0])
 	}
 	// HAVING with arithmetic.
-	rows = db.MustQuery(`SELECT author FROM books GROUP BY author HAVING MAX(year) - MIN(year) > 1`)
+	rows = mustQuery(db, `SELECT author FROM books GROUP BY author HAVING MAX(year) - MIN(year) > 1`)
 	if len(rows.Data) != 1 {
 		t.Errorf("having = %v", rows.Data)
 	}
@@ -171,17 +171,17 @@ FROM books GROUP BY author ORDER BY author`)
 func TestHasAggregateOnAllForms(t *testing.T) {
 	db := testDB(t)
 	// Aggregates inside IN / LIKE / IS NULL positions of HAVING.
-	rows := db.MustQuery(`
+	rows := mustQuery(db, `
 SELECT author FROM books GROUP BY author HAVING COUNT(*) IN (2)`)
 	if len(rows.Data) != 1 {
 		t.Errorf("agg-in-IN = %v", rows.Data)
 	}
-	rows = db.MustQuery(`
+	rows = mustQuery(db, `
 SELECT author FROM books GROUP BY author HAVING MAX(title) LIKE 'X%'`)
 	if len(rows.Data) != 1 {
 		t.Errorf("agg-in-LIKE = %v", rows.Data)
 	}
-	rows = db.MustQuery(`
+	rows = mustQuery(db, `
 SELECT author FROM books GROUP BY author HAVING MIN(year) IS NOT NULL ORDER BY author`)
 	if len(rows.Data) != 3 {
 		t.Errorf("agg-in-ISNULL = %v", rows.Data)
@@ -232,7 +232,7 @@ func TestFKToMissingColumnAndTable(t *testing.T) {
 func TestJoinOnNonEquiCondition(t *testing.T) {
 	db := testDB(t)
 	// Nested-loop join with an inequality ON condition.
-	rows := db.MustQuery(`
+	rows := mustQuery(db, `
 SELECT a.name, b.title FROM authors a JOIN books b ON b.year > 2000 + a.age - 40
 WHERE a.name = 'Smith' ORDER BY b.title`)
 	if len(rows.Data) != 2 {
@@ -243,7 +243,7 @@ WHERE a.name = 'Smith' ORDER BY b.title`)
 func TestLeftJoinWithExtraOnCondition(t *testing.T) {
 	db := testDB(t)
 	// LEFT JOIN where the ON carries a non-equi residual condition.
-	rows := db.MustQuery(`
+	rows := mustQuery(db, `
 SELECT a.name, b.title FROM authors a
 LEFT JOIN books b ON b.author = a.id AND b.year > 2000
 ORDER BY a.name, b.title`)
@@ -263,15 +263,15 @@ ORDER BY a.name, b.title`)
 // restPreds there, so every row came back).
 func TestIndexMissReturnsNoRows(t *testing.T) {
 	db := testDB(t)
-	rows := db.MustQuery("SELECT * FROM authors WHERE id = 999999")
+	rows := mustQuery(db, "SELECT * FROM authors WHERE id = 999999")
 	if len(rows.Data) != 0 {
 		t.Fatalf("index miss returned %d rows: %v", len(rows.Data), rows.Data)
 	}
 	// Same via a secondary index path, combined with another predicate.
-	if _, _, err := db.Exec("CREATE INDEX authors_age ON authors (age)"); err != nil {
+	if _, _, err := execSQL(db, "CREATE INDEX authors_age ON authors (age)"); err != nil {
 		t.Fatal(err)
 	}
-	rows = db.MustQuery("SELECT * FROM authors WHERE age = -1 AND id > 0")
+	rows = mustQuery(db, "SELECT * FROM authors WHERE age = -1 AND id > 0")
 	if len(rows.Data) != 0 {
 		t.Fatalf("secondary index miss returned %d rows: %v", len(rows.Data), rows.Data)
 	}

@@ -49,7 +49,7 @@ func TestSnapshotStableUnderWrites(t *testing.T) {
 		`DELETE FROM authors WHERE id = 2`,
 		`INSERT INTO authors VALUES (4, 'New', 20)`,
 	} {
-		if _, _, err := db.Exec(stmt); err != nil {
+		if _, _, err := execSQL(db, stmt); err != nil {
 			t.Fatalf("%s: %v", stmt, err)
 		}
 	}
@@ -74,12 +74,12 @@ func TestWriterAndCheckpointProceedMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Exec(`CREATE TABLE ev (id INTEGER PRIMARY KEY, v INTEGER)`); err != nil {
+	if _, _, err := execSQL(db, `CREATE TABLE ev (id INTEGER PRIMARY KEY, v INTEGER)`); err != nil {
 		t.Fatal(err)
 	}
 	var want [][]any
 	for i := 0; i < 200; i++ {
-		if _, _, err := db.Exec(fmt.Sprintf(`INSERT INTO ev VALUES (%d, %d)`, i, i*i)); err != nil {
+		if _, _, err := execSQL(db, fmt.Sprintf(`INSERT INTO ev VALUES (%d, %d)`, i, i*i)); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, []any{int64(i), int64(i * i)})
@@ -101,7 +101,7 @@ func TestWriterAndCheckpointProceedMidStream(t *testing.T) {
 	// cursor's read lock and the writer behind the checkpoint).
 	done := make(chan error, 2)
 	go func() {
-		_, _, err := db.Exec(`UPDATE ev SET v = 0 WHERE id < 100`)
+		_, _, err := execSQL(db, `UPDATE ev SET v = 0 WHERE id < 100`)
 		done <- err
 	}()
 	go func() { done <- db.Checkpoint() }()
@@ -186,7 +186,7 @@ func TestPinBookkeeping(t *testing.T) {
 	if !ok || db.PinnedCursors() != 1 {
 		t.Fatalf("after open: pins=%d ok=%v", db.PinnedCursors(), ok)
 	}
-	if _, _, err := db.Exec(`INSERT INTO authors VALUES (7, 'Seven', 7)`); err != nil {
+	if _, _, err := execSQL(db, `INSERT INTO authors VALUES (7, 'Seven', 7)`); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := db.QueryCursorContext(context.Background(), `SELECT id FROM authors`)
@@ -276,7 +276,7 @@ func TestDrainPreallocClamp(t *testing.T) {
 // positions, and leaves query results and integrity intact.
 func TestCompactTableReclaimsDeletedSlots(t *testing.T) {
 	db := testDB(t)
-	if _, _, err := db.Exec(`DELETE FROM books WHERE year = 1999`); err != nil {
+	if _, _, err := execSQL(db, `DELETE FROM books WHERE year = 1999`); err != nil {
 		t.Fatal(err)
 	}
 	removed, err := db.CompactTable("books")
@@ -321,7 +321,7 @@ func TestCompactionUnderOpenCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cur.Close()
-	if _, _, err := db.Exec(`DELETE FROM books WHERE id = 10`); err != nil {
+	if _, _, err := execSQL(db, `DELETE FROM books WHERE id = 10`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.CompactTable("books"); err != nil {
@@ -344,7 +344,7 @@ func TestVacuumAndStartVacuum(t *testing.T) {
 		`DELETE FROM books WHERE id = 11`,
 		`DELETE FROM authors WHERE id = 2`, // now unreferenced
 	} {
-		if _, _, err := db.Exec(stmt); err != nil {
+		if _, _, err := execSQL(db, stmt); err != nil {
 			t.Fatalf("%s: %v", stmt, err)
 		}
 	}
@@ -359,7 +359,7 @@ func TestVacuumAndStartVacuum(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := db.Exec(`DELETE FROM books WHERE id = 12`); err != nil {
+	if _, _, err := execSQL(db, `DELETE FROM books WHERE id = 12`); err != nil {
 		t.Fatal(err)
 	}
 	stop := db.StartVacuum(time.Millisecond)
@@ -398,7 +398,7 @@ func TestCompactionRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	runWorkload(t, db)
-	if _, _, err := db.Exec(`DELETE FROM books WHERE id = 10`); err != nil {
+	if _, _, err := execSQL(db, `DELETE FROM books WHERE id = 10`); err != nil {
 		t.Fatal(err)
 	}
 	// runWorkload's own deletes may have left additional holes.
@@ -406,10 +406,10 @@ func TestCompactionRecovery(t *testing.T) {
 		t.Fatalf("compact: n=%d err=%v", n, err)
 	}
 	// Writes after the compaction reference the renumbered positions.
-	if _, _, err := db.Exec(`INSERT INTO books VALUES (14, 'Post Compact', 1, 2020)`); err != nil {
+	if _, _, err := execSQL(db, `INSERT INTO books VALUES (14, 'Post Compact', 1, 2020)`); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Exec(`UPDATE books SET year = 2021 WHERE id = 11`); err != nil {
+	if _, _, err := execSQL(db, `UPDATE books SET year = 2021 WHERE id = 11`); err != nil {
 		t.Fatal(err)
 	}
 	want := dumpState(db)
@@ -441,10 +441,10 @@ func TestSnapshotStableAcrossJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cur.Close()
-	if _, _, err := db.Exec(`UPDATE authors SET name = 'Changed' WHERE id = 1`); err != nil {
+	if _, _, err := execSQL(db, `UPDATE authors SET name = 'Changed' WHERE id = 1`); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Exec(`DELETE FROM books WHERE id = 13`); err != nil {
+	if _, _, err := execSQL(db, `DELETE FROM books WHERE id = 13`); err != nil {
 		t.Fatal(err)
 	}
 	if got := drainRows(t, cur); !reflect.DeepEqual(got, before) {
@@ -463,7 +463,7 @@ func BenchmarkWriterWithPinnedReaders(b *testing.B) {
 	for _, pinned := range []int{0, 1, 4} {
 		b.Run(fmt.Sprintf("cursors=%d", pinned), func(b *testing.B) {
 			db := Open()
-			if _, _, err := db.Exec(`CREATE TABLE ev (id INTEGER PRIMARY KEY, v INTEGER)`); err != nil {
+			if _, _, err := execSQL(db, `CREATE TABLE ev (id INTEGER PRIMARY KEY, v INTEGER)`); err != nil {
 				b.Fatal(err)
 			}
 			rows := make([][]any, 10000)
@@ -486,10 +486,10 @@ func BenchmarkWriterWithPinnedReaders(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				id := int64(100000 + i)
-				if _, _, err := db.Exec(fmt.Sprintf(`INSERT INTO ev VALUES (%d, 0)`, id)); err != nil {
+				if _, _, err := execSQL(db, fmt.Sprintf(`INSERT INTO ev VALUES (%d, 0)`, id)); err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := db.Exec(fmt.Sprintf(`UPDATE ev SET v = 1 WHERE id = %d`, id)); err != nil {
+				if _, _, err := execSQL(db, fmt.Sprintf(`UPDATE ev SET v = 1 WHERE id = %d`, id)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"xmlrdb/internal/faultfs"
 	"xmlrdb/internal/obs"
+	"xmlrdb/internal/rel"
 )
 
 // obsDB opens a one-table engine with a fresh metrics hub attached.
@@ -15,7 +18,7 @@ func obsDB(t *testing.T) (*DB, *obs.Metrics) {
 	db := Open()
 	m := obs.New()
 	db.SetMetrics(m)
-	_, _, err := db.ExecScript(`
+	err := execScript(db, `
 CREATE TABLE items (id INTEGER PRIMARY KEY, grp INTEGER NOT NULL, label TEXT NOT NULL);
 `)
 	if err != nil {
@@ -110,7 +113,7 @@ func TestMetricsStatementKinds(t *testing.T) {
 		`DELETE FROM items WHERE id = 1`,
 	}
 	for _, s := range stmts {
-		if _, _, err := db.Exec(s); err != nil {
+		if _, _, err := execSQL(db, s); err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
 	}
@@ -133,7 +136,7 @@ func TestSlowQueryTrace(t *testing.T) {
 	var ct obs.CollectTracer
 	db.SetTracer(&ct)
 	db.SetSlowQueryThreshold(time.Nanosecond) // everything is slow
-	if _, _, err := db.Exec(`SELECT id FROM items`); err != nil {
+	if _, _, err := execSQL(db, `SELECT id FROM items`); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Snapshot().Engine.SlowQueries; got < 1 {
@@ -159,7 +162,7 @@ func TestSlowQueryOffByDefault(t *testing.T) {
 	db, m := obsDB(t)
 	var ct obs.CollectTracer
 	db.SetTracer(&ct)
-	if _, _, err := db.Exec(`SELECT id FROM items`); err != nil {
+	if _, _, err := execSQL(db, `SELECT id FROM items`); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Snapshot().Engine.SlowQueries; got != 0 {
@@ -195,5 +198,89 @@ func TestMetricsLookupPaths(t *testing.T) {
 	}
 	if ts.Inserts != 4 || ts.RowsInserted != 4 {
 		t.Errorf("Inserts = %d RowsInserted = %d, want 4/4", ts.Inserts, ts.RowsInserted)
+	}
+}
+
+// TestFailedOpenObservedOnEveryEntryPoint pins the one rule for a SELECT
+// that fails before its cursor exists (a binding error, a context
+// already cancelled): whichever entry point ran it, it counts once in
+// Selects, ExecLatency and its fingerprint's query statistics.
+func TestFailedOpenObservedOnEveryEntryPoint(t *testing.T) {
+	db, m := obsDB(t)
+	const bad = `SELECT id FROM missing`
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	opens := []struct {
+		name string
+		open func() error
+	}{
+		{"QueryCursorContext", func() error {
+			_, err := db.QueryCursorContext(context.Background(), bad)
+			return err
+		}},
+		{"ExecCursorContext", func() error {
+			_, err := db.ExecCursorContext(context.Background(), bad)
+			return err
+		}},
+		{"cancelled context", func() error {
+			_, err := db.QueryCursorContext(cancelled, `SELECT id FROM items`)
+			return err
+		}},
+	}
+	for i, o := range opens {
+		before := m.Snapshot().Engine
+		if err := o.open(); err == nil {
+			t.Fatalf("%s: open succeeded", o.name)
+		}
+		after := m.Snapshot().Engine
+		if got := after.Selects - before.Selects; got != 1 {
+			t.Errorf("%s: Selects +%d, want +1", o.name, got)
+		}
+		if got := after.ExecLatency.Count - before.ExecLatency.Count; got != 1 {
+			t.Errorf("%s: ExecLatency.Count +%d, want +1", o.name, got)
+		}
+		var errs int64
+		for _, q := range m.Snapshot().Queries {
+			errs += q.Errors
+		}
+		if errs != int64(i+1) {
+			t.Errorf("%s: query statistics hold %d errors, want %d", o.name, errs, i+1)
+		}
+	}
+}
+
+// TestReadsNeverCheckpoint pins that only writes run the automatic
+// checkpoint: with a checkpoint already due (a DDL frame logged outside
+// the statement path), reads through either entry point leave it due,
+// and the next write statement takes it.
+func TestReadsNeverCheckpoint(t *testing.T) {
+	m := obs.New()
+	db, err := OpenAtOpts("data", DurabilityOptions{FS: faultfs.NewMem(), SnapshotEvery: 1, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	def := &rel.Table{Name: "kv", Columns: []rel.Column{{Name: "k", Type: rel.TypeInt}}}
+	if err := db.CreateTable(def); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, open := range []func(context.Context, string) (Cursor, error){db.QueryCursorContext, db.ExecCursorContext} {
+		cur, err := open(ctx, `SELECT k FROM kv`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DrainCursor(cur); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Snapshot().WAL.Snapshots; got != 0 {
+		t.Fatalf("reads took %d checkpoints, want 0", got)
+	}
+	if _, err := db.ExecCursorContext(ctx, `INSERT INTO kv VALUES (1)`); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Snapshot().WAL.Snapshots; got != 1 {
+		t.Fatalf("write took %d checkpoints, want 1", got)
 	}
 }

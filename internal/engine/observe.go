@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"xmlrdb/internal/obs"
@@ -49,24 +48,19 @@ func (db *DB) SetSlowQueryThreshold(d time.Duration) {
 	db.slowQuery = d
 }
 
-// execStmtObserved dispatches one parsed statement, recording latency,
-// statement-kind counters and the slow-query trace when observability
-// is attached. sql is the original text when known (for trace detail).
-// Observed SELECTs route through the cursor path so telemetry — the
-// executed-plan digest, the fingerprint aggregate, operator spans —
-// comes from one place regardless of whether the caller streams or
-// materializes.
-func (db *DB) execStmtObserved(ctx context.Context, st sqldb.Stmt, sql string) (Result, *Rows, error) {
-	if db.obs == nil && db.tracer == nil && obs.TraceFrom(ctx) == nil {
-		res, rows, err := db.dispatchStmt(ctx, st)
+// execStmtObserved dispatches one parsed non-query statement, recording
+// latency, statement-kind counters and the slow-query trace when
+// observability is attached, then runs the automatic checkpoint the
+// statement's WAL frames may have made due. sql is the original text
+// (for trace detail). SELECTs are observed by observeCursor instead.
+func (db *DB) execStmtObserved(ctx context.Context, st sqldb.Stmt, sql string) (Result, error) {
+	if db.obs == nil && db.tracer == nil {
+		res, err := db.dispatchStmt(ctx, st)
 		db.maybeCheckpoint()
-		return res, rows, err
-	}
-	if sel, ok := st.(*sqldb.Select); ok {
-		return db.execSelectObserved(ctx, sel, sql)
+		return res, err
 	}
 	start := time.Now()
-	res, rows, err := db.dispatchStmt(ctx, st)
+	res, err := db.dispatchStmt(ctx, st)
 	d := time.Since(start)
 	db.maybeCheckpoint()
 	if db.obs != nil {
@@ -87,50 +81,27 @@ func (db *DB) execStmtObserved(ctx context.Context, st sqldb.Stmt, sql string) (
 			db.obs.SlowQueries.Inc()
 		}
 		if db.tracer != nil {
-			detail := sql
-			if detail == "" {
-				detail = fmt.Sprintf("%T", st)
-			}
-			ev := obs.Event{Scope: "engine", Name: "slow-query", Detail: detail, Dur: d}
-			if sql != "" {
-				ev.Attrs = []obs.Attr{{Key: "fingerprint", Val: obs.Fingerprint(sql)}}
-			}
+			ev := obs.Event{Scope: "engine", Name: "slow-query", Detail: sql, Dur: d,
+				Attrs: []obs.Attr{{Key: "fingerprint", Val: obs.Fingerprint(sql)}}}
 			if err != nil {
 				ev.Err = err.Error()
 			}
 			db.tracer.Emit(ev)
 		}
 	}
-	return res, rows, err
+	return res, err
 }
 
-// execSelectObserved is the observed materialized-SELECT path: a
-// cursor is opened, wired into the observability hooks (observeCursor)
-// and drained. A statement that fails before a cursor exists — parse
-// binding, planning, context already cancelled — is still counted, so
-// the statement counters keep their one-per-execution meaning.
-func (db *DB) execSelectObserved(ctx context.Context, sel *sqldb.Select, sql string) (Result, *Rows, error) {
-	start := time.Now()
-	cc := newCancelCheck(ctx)
-	err := cc.now()
-	if err == nil {
-		var cur *selectCursor
-		cur, err = db.openSelect(ctx, sel, cc, false, nil)
-		if err == nil {
-			db.observeCursor(cur, sql)
-			rows, derr := DrainCursor(cur)
-			db.maybeCheckpoint()
-			return Result{}, rows, derr
-		}
+// observeFailedOpen records a SELECT that failed before a cursor
+// existed (binding, planning, a context already cancelled): it counts
+// once in Selects, ExecLatency and the fingerprint's query statistics,
+// so the statement counters keep their one-per-execution meaning.
+func (db *DB) observeFailedOpen(sql string, start time.Time, err error) {
+	if db.obs == nil {
+		return
 	}
-	db.maybeCheckpoint()
 	d := time.Since(start)
-	if db.obs != nil {
-		db.obs.Selects.Inc()
-		db.obs.ExecLatency.ObserveDuration(d)
-		if sql != "" {
-			db.obs.Queries.Observe(sql, d, 0, err, nil)
-		}
-	}
-	return Result{}, nil, err
+	db.obs.Selects.Inc()
+	db.obs.ExecLatency.ObserveDuration(d)
+	db.obs.Queries.Observe(sql, d, 0, err, nil)
 }

@@ -10,7 +10,7 @@ import (
 func rangeDB(t *testing.T, rows int) *DB {
 	t.Helper()
 	db := Open()
-	if _, _, err := db.Exec(`CREATE TABLE m (k INTEGER, v TEXT)`); err != nil {
+	if _, _, err := execSQL(db, `CREATE TABLE m (k INTEGER, v TEXT)`); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -34,17 +34,17 @@ func TestOrderedIndexMatchesFullScan(t *testing.T) {
 	}
 	var before [][][]any
 	for _, q := range queries {
-		rows, err := db.Query(q)
+		rows, err := querySQL(db, q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 		before = append(before, rows.Data)
 	}
-	if _, _, err := db.Exec(`CREATE ORDERED INDEX m_k ON m (k)`); err != nil {
+	if _, _, err := execSQL(db, `CREATE ORDERED INDEX m_k ON m (k)`); err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		rows, err := db.Query(q)
+		rows, err := querySQL(db, q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -60,7 +60,7 @@ func TestOrderedIndexSurvivesWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseline := func() int64 {
-		rows := db.MustQuery(`SELECT COUNT(*) FROM m WHERE k >= 0 AND k <= 1000`)
+		rows := mustQuery(db, `SELECT COUNT(*) FROM m WHERE k >= 0 AND k <= 1000`)
 		return rows.Data[0][0].(int64)
 	}
 	n0 := baseline()
@@ -70,21 +70,21 @@ func TestOrderedIndexSurvivesWrites(t *testing.T) {
 	if got := baseline(); got != n0+1 {
 		t.Errorf("after insert: %d, want %d", got, n0+1)
 	}
-	if _, _, err := db.Exec(`DELETE FROM m WHERE v = 'new'`); err != nil {
+	if _, _, err := execSQL(db, `DELETE FROM m WHERE v = 'new'`); err != nil {
 		t.Fatal(err)
 	}
 	if got := baseline(); got != n0 {
 		t.Errorf("after delete: %d, want %d", got, n0)
 	}
-	if _, _, err := db.Exec(`UPDATE m SET k = 2000 WHERE k < 10`); err != nil {
+	if _, _, err := execSQL(db, `UPDATE m SET k = 2000 WHERE k < 10`); err != nil {
 		t.Fatal(err)
 	}
-	high := db.MustQuery(`SELECT COUNT(*) FROM m WHERE k >= 2000`)
+	high := mustQuery(db, `SELECT COUNT(*) FROM m WHERE k >= 2000`)
 	if high.Data[0][0].(int64) == 0 {
 		t.Skip("no rows below 10 in this seed") // deterministic seed makes this unlikely
 	}
-	all := db.MustQuery(`SELECT COUNT(*) FROM m`)
-	ranged := db.MustQuery(`SELECT COUNT(*) FROM m WHERE k >= 0 AND k <= 3000`)
+	all := mustQuery(db, `SELECT COUNT(*) FROM m`)
+	ranged := mustQuery(db, `SELECT COUNT(*) FROM m WHERE k >= 0 AND k <= 3000`)
 	if all.Data[0][0] != ranged.Data[0][0] {
 		t.Errorf("range covering everything = %v, total = %v", ranged.Data[0][0], all.Data[0][0])
 	}
@@ -92,14 +92,14 @@ func TestOrderedIndexSurvivesWrites(t *testing.T) {
 
 func TestOrderedIndexNullsExcluded(t *testing.T) {
 	db := Open()
-	if _, _, err := db.ExecScript(`
+	if err := execScript(db, `
 CREATE TABLE t (k INTEGER, v TEXT);
 INSERT INTO t VALUES (1, 'a'), (NULL, 'b'), (3, 'c');
 CREATE ORDERED INDEX t_k ON t (k);
 `); err != nil {
 		t.Fatal(err)
 	}
-	rows := db.MustQuery(`SELECT v FROM t WHERE k >= 0 ORDER BY v`)
+	rows := mustQuery(db, `SELECT v FROM t WHERE k >= 0 ORDER BY v`)
 	if len(rows.Data) != 2 {
 		t.Errorf("rows = %v (NULL must not match a range)", rows.Data)
 	}
@@ -129,24 +129,24 @@ func TestOrderedIndexErrors(t *testing.T) {
 	if err := db.CreateOrderedIndex("ix2", "m", "k"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Exec(`DROP INDEX ix2`); err != nil {
+	if _, _, err := execSQL(db, `DROP INDEX ix2`); err != nil {
 		t.Errorf("drop via SQL: %v", err)
 	}
-	if _, _, err := db.Exec(`CREATE ORDERED INDEX ix3 ON m (k, v)`); err == nil {
+	if _, _, err := execSQL(db, `CREATE ORDERED INDEX ix3 ON m (k, v)`); err == nil {
 		t.Error("multi-column ordered index should fail")
 	}
 }
 
 func TestOrderedStringRange(t *testing.T) {
 	db := Open()
-	if _, _, err := db.ExecScript(`
+	if err := execScript(db, `
 CREATE TABLE s (name TEXT);
 INSERT INTO s VALUES ('alpha'), ('beta'), ('gamma'), ('delta');
 CREATE ORDERED INDEX s_n ON s (name);
 `); err != nil {
 		t.Fatal(err)
 	}
-	rows := db.MustQuery(`SELECT name FROM s WHERE name >= 'b' AND name < 'e' ORDER BY name`)
+	rows := mustQuery(db, `SELECT name FROM s WHERE name >= 'b' AND name < 'e' ORDER BY name`)
 	if len(rows.Data) != 2 || rows.Data[0][0] != "beta" || rows.Data[1][0] != "delta" {
 		t.Errorf("string range = %v", rows.Data)
 	}

@@ -33,13 +33,13 @@ func TestDuplicateBindingRejected(t *testing.T) {
 		`SELECT * FROM authors, authors`,
 		`SELECT * FROM authors a JOIN authors a ON 1 = 1`,
 	} {
-		_, err := db.Query(sql)
+		_, err := querySQL(db, sql)
 		if err == nil || !strings.Contains(err.Error(), "duplicate table binding") {
 			t.Errorf("%s: err = %v, want duplicate table binding", sql, err)
 		}
 	}
 	// Distinct aliases over the same table stay legal (self join).
-	if _, err := db.Query(`SELECT a.name FROM authors a, authors b WHERE a.id = b.id`); err != nil {
+	if _, err := querySQL(db, `SELECT a.name FROM authors a, authors b WHERE a.id = b.id`); err != nil {
 		t.Errorf("self join with distinct aliases failed: %v", err)
 	}
 }
@@ -115,7 +115,7 @@ func limitDB(tb testing.TB, rows int) (*DB, *obs.Metrics) {
 	db := Open()
 	m := obs.New()
 	db.SetMetrics(m)
-	_, _, err := db.ExecScript(`
+	err := execScript(db, `
 CREATE TABLE big (id INTEGER PRIMARY KEY, d INTEGER NOT NULL, val TEXT NOT NULL);
 CREATE TABLE dims (id INTEGER PRIMARY KEY, name TEXT NOT NULL);
 `)
@@ -156,7 +156,7 @@ func TestLimitShortCircuitsScan(t *testing.T) {
 	const total = 100_000
 	db, m := limitDB(t, total)
 
-	rows, err := db.Query(`SELECT id FROM big LIMIT 10`)
+	rows, err := querySQL(db, `SELECT id FROM big LIMIT 10`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestLimitShortCircuitsScan(t *testing.T) {
 		t.Errorf("unjoined LIMIT 10 scanned %d rows of big, want ~10", scanned)
 	}
 
-	rows, err = db.Query(`SELECT b.id, d.name FROM big b JOIN dims d ON b.d = d.id LIMIT 10`)
+	rows, err = querySQL(db, `SELECT b.id, d.name FROM big b JOIN dims d ON b.d = d.id LIMIT 10`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestCursorReleasesLocksOnClose(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := db.Exec(`INSERT INTO authors VALUES (9, 'Late', 20)`)
+		_, _, err := execSQL(db, `INSERT INTO authors VALUES (9, 'Late', 20)`)
 		done <- err
 	}()
 	if err := <-done; err != nil {
@@ -250,7 +250,7 @@ func TestCursorCancellationMidStream(t *testing.T) {
 		t.Fatalf("Err = %v, want context.Canceled", err)
 	}
 	// A cancelled cursor must still have released its locks.
-	if _, _, err := db.Exec(`INSERT INTO big VALUES (1000000, 0, 'after')`); err != nil {
+	if _, _, err := execSQL(db, `INSERT INTO big VALUES (1000000, 0, 'after')`); err != nil {
 		t.Fatalf("write after cancelled cursor: %v", err)
 	}
 }
@@ -260,7 +260,7 @@ func TestCursorCancellationMidStream(t *testing.T) {
 // Regenerate with: go test ./internal/engine -run TestExplainGoldenPlans -update
 func TestExplainGoldenPlans(t *testing.T) {
 	db := testDB(t)
-	if _, _, err := db.Exec(`CREATE INDEX books_year ON books (year)`); err != nil {
+	if _, _, err := execSQL(db, `CREATE INDEX books_year ON books (year)`); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -312,7 +312,7 @@ func BenchmarkStreamingLimit(b *testing.B) {
 	bench := func(b *testing.B, sql string) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rows, err := db.Query(sql)
+			rows, err := querySQL(db, sql)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -330,7 +330,7 @@ func BenchmarkStreamingLimit(b *testing.B) {
 	b.Run("unjoined-full", func(b *testing.B) {
 		// The O(n) baseline the LIMIT runs must beat by orders of magnitude.
 		for i := 0; i < b.N; i++ {
-			rows, err := db.Query(`SELECT COUNT(*) FROM big`)
+			rows, err := querySQL(db, `SELECT COUNT(*) FROM big`)
 			if err != nil {
 				b.Fatal(err)
 			}

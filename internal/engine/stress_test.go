@@ -27,11 +27,11 @@ func TestServingMixStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Exec("CREATE TABLE pts (id INTEGER PRIMARY KEY, v INTEGER)"); err != nil {
+	if _, _, err := execSQL(db, "CREATE TABLE pts (id INTEGER PRIMARY KEY, v INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
 	// Seed with one pair so COUNT(*) starts even and non-zero.
-	if _, _, err := db.Exec("INSERT INTO pts VALUES (1, 1), (2, 1)"); err != nil {
+	if _, _, err := execSQL(db, "INSERT INTO pts VALUES (1, 1), (2, 1)"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -60,7 +60,7 @@ func TestServingMixStress(t *testing.T) {
 			for i := int64(0); i < pairsPerGoro; i++ {
 				id := base + 2*i
 				stmt := fmt.Sprintf("INSERT INTO pts VALUES (%d, %d), (%d, %d)", id, i%97, id+1, i%97)
-				if _, _, err := db.Exec(stmt); err != nil {
+				if _, _, err := execSQL(db, stmt); err != nil {
 					report("insert: %v", err)
 					return
 				}
@@ -74,7 +74,7 @@ func TestServingMixStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < readsPerGoro; i++ {
-				rows, err := db.Query("SELECT COUNT(*) FROM pts")
+				rows, err := querySQL(db, "SELECT COUNT(*) FROM pts")
 				if err != nil {
 					report("count: %v", err)
 					return
@@ -100,7 +100,7 @@ func TestServingMixStress(t *testing.T) {
 			default:
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%200)*time.Microsecond)
-			rows, err := db.QueryContext(ctx, "SELECT COUNT(*) FROM pts a, pts b WHERE a.v = b.v")
+			rows, err := querySQLContext(ctx, db, "SELECT COUNT(*) FROM pts a, pts b WHERE a.v = b.v")
 			cancel()
 			switch {
 			case err == nil:
@@ -130,11 +130,11 @@ func TestServingMixStress(t *testing.T) {
 				return
 			default:
 			}
-			if _, _, err := db.Exec("CREATE INDEX pts_v ON pts (v)"); err != nil {
+			if _, _, err := execSQL(db, "CREATE INDEX pts_v ON pts (v)"); err != nil {
 				report("create index: %v", err)
 				return
 			}
-			if _, _, err := db.Exec("DROP INDEX pts_v"); err != nil {
+			if _, _, err := execSQL(db, "DROP INDEX pts_v"); err != nil {
 				report("drop index: %v", err)
 				return
 			}
@@ -179,7 +179,7 @@ poll:
 			break poll
 		case <-time.After(10 * time.Millisecond):
 		}
-		rows, err := db.Query("SELECT COUNT(*) FROM pts")
+		rows, err := querySQL(db, "SELECT COUNT(*) FROM pts")
 		if err != nil {
 			break poll
 		}
@@ -202,7 +202,7 @@ poll:
 	default:
 	}
 
-	rows, err := db.Query("SELECT COUNT(*) FROM pts")
+	rows, err := querySQL(db, "SELECT COUNT(*) FROM pts")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ poll:
 	if err != nil {
 		t.Fatal(err)
 	}
-	rrows, err := rdb.Query("SELECT COUNT(*) FROM pts")
+	rrows, err := querySQL(rdb, "SELECT COUNT(*) FROM pts")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,12 +241,12 @@ poll:
 //     compaction never perturbs an open cursor.
 func TestSnapshotStressUnderChurn(t *testing.T) {
 	db := Open()
-	if _, _, err := db.Exec("CREATE TABLE gens (id INTEGER PRIMARY KEY, gen INTEGER)"); err != nil {
+	if _, _, err := execSQL(db, "CREATE TABLE gens (id INTEGER PRIMARY KEY, gen INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
 	const stable = 50 // rows carrying the generation invariant (id < 100)
 	for i := 0; i < stable; i++ {
-		if _, _, err := db.Exec(fmt.Sprintf("INSERT INTO gens VALUES (%d, 0)", i)); err != nil {
+		if _, _, err := execSQL(db, fmt.Sprintf("INSERT INTO gens VALUES (%d, 0)", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +272,7 @@ func TestSnapshotStressUnderChurn(t *testing.T) {
 				return
 			default:
 			}
-			if _, _, err := db.Exec(fmt.Sprintf("UPDATE gens SET gen = %d WHERE id < 100", k)); err != nil {
+			if _, _, err := execSQL(db, fmt.Sprintf("UPDATE gens SET gen = %d WHERE id < 100", k)); err != nil {
 				report("update: %v", err)
 				return
 			}
@@ -292,11 +292,11 @@ func TestSnapshotStressUnderChurn(t *testing.T) {
 			default:
 			}
 			id := 1000 + i%32
-			if _, _, err := db.Exec(fmt.Sprintf("INSERT INTO gens VALUES (%d, -1)", id)); err != nil {
+			if _, _, err := execSQL(db, fmt.Sprintf("INSERT INTO gens VALUES (%d, -1)", id)); err != nil {
 				report("churn insert: %v", err)
 				return
 			}
-			if _, _, err := db.Exec(fmt.Sprintf("DELETE FROM gens WHERE id = %d", id)); err != nil {
+			if _, _, err := execSQL(db, fmt.Sprintf("DELETE FROM gens WHERE id = %d", id)); err != nil {
 				report("churn delete: %v", err)
 				return
 			}
@@ -374,4 +374,3 @@ func TestSnapshotStressUnderChurn(t *testing.T) {
 		t.Fatalf("stress leaked %d cursor pins", db.PinnedCursors())
 	}
 }
-

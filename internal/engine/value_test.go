@@ -145,24 +145,24 @@ func TestNullsSortFirst(t *testing.T) {
 // TestNUMFunction exercises the NUM cast end to end.
 func TestNUMFunction(t *testing.T) {
 	db := Open()
-	_, _, err := db.ExecScript(`
+	err := execScript(db, `
 CREATE TABLE t (v TEXT, f TEXT);
 INSERT INTO t VALUES ('10', '2.5'), ('3', '0.5');
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := db.MustQuery(`SELECT SUM(NUM(v)), SUM(NUM(v) * NUM(f)) FROM t`)
+	rows := mustQuery(db, `SELECT SUM(NUM(v)), SUM(NUM(v) * NUM(f)) FROM t`)
 	if rows.Data[0][0] != int64(13) {
 		t.Errorf("SUM(NUM(v)) = %v", rows.Data[0][0])
 	}
 	if rows.Data[0][1] != 26.5 {
 		t.Errorf("weighted sum = %v", rows.Data[0][1])
 	}
-	if _, err := db.Query(`SELECT NUM('abc') FROM t`); err == nil {
+	if _, err := querySQL(db, `SELECT NUM('abc') FROM t`); err == nil {
 		t.Error("NUM of non-number should fail")
 	}
-	rows = db.MustQuery(`SELECT NUM(NULL) FROM t LIMIT 1`)
+	rows = mustQuery(db, `SELECT NUM(NULL) FROM t LIMIT 1`)
 	if rows.Data[0][0] != nil {
 		t.Errorf("NUM(NULL) = %v", rows.Data[0][0])
 	}

@@ -19,7 +19,7 @@ import (
 func vecDB(tb testing.TB, rows int) *DB {
 	tb.Helper()
 	db := Open()
-	_, _, err := db.ExecScript(`
+	err := execScript(db, `
 CREATE TABLE ev (id INTEGER PRIMARY KEY, tag TEXT, val TEXT NOT NULL, n INTEGER);
 `)
 	if err != nil {
@@ -90,12 +90,12 @@ func runEquivalence(t *testing.T, db *DB) {
 	t.Helper()
 	for _, sql := range vecEquivalenceQueries {
 		db.SetVectorized(true)
-		vec, err := db.Query(sql)
+		vec, err := querySQL(db, sql)
 		if err != nil {
 			t.Fatalf("vec %q: %v", sql, err)
 		}
 		db.SetVectorized(false)
-		row, err := db.Query(sql)
+		row, err := querySQL(db, sql)
 		if err != nil {
 			t.Fatalf("row %q: %v", sql, err)
 		}
@@ -123,10 +123,10 @@ func TestVecRowEquivalence(t *testing.T) {
 
 	// Post-ANALYZE writes: new strings outside the persisted dictionary,
 	// plus deletes (holes in the code vector).
-	if _, _, err := db.Exec(`INSERT INTO ev VALUES (100001, 'epsilon', 'fresh', 7)`); err != nil {
+	if _, _, err := execSQL(db, `INSERT INTO ev VALUES (100001, 'epsilon', 'fresh', 7)`); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Exec(`DELETE FROM ev WHERE id < 50`); err != nil {
+	if _, _, err := execSQL(db, `DELETE FROM ev WHERE id < 50`); err != nil {
 		t.Fatal(err)
 	}
 	runEquivalence(t, db)
@@ -144,7 +144,7 @@ func TestDictRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Post-ANALYZE values must round-trip through the overlay too.
-	if _, _, err := db.Exec(`INSERT INTO ev VALUES (100001, 'omega', 'overlay-only', NULL)`); err != nil {
+	if _, _, err := execSQL(db, `INSERT INTO ev VALUES (100001, 'omega', 'overlay-only', NULL)`); err != nil {
 		t.Fatal(err)
 	}
 	db.mu.RLock()
@@ -196,7 +196,7 @@ func TestDictRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.ExecScript(`
+	if err := execScript(db, `
 CREATE TABLE ev (id INTEGER PRIMARY KEY, tag TEXT, val TEXT NOT NULL);
 INSERT INTO ev VALUES (1, 'alpha', 'x'), (2, 'beta', 'y'), (3, NULL, 'x');
 `); err != nil {
@@ -210,13 +210,13 @@ INSERT INTO ev VALUES (1, 'alpha', 'x'), (2, 'beta', 'y'), (3, NULL, 'x');
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Exec(`INSERT INTO ev VALUES (4, 'gamma', 'z')`); err != nil {
+	if _, _, err := execSQL(db, `INSERT INTO ev VALUES (4, 'gamma', 'z')`); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.AnalyzeTable("ev"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Exec(`INSERT INTO ev VALUES (5, 'delta', 'w')`); err != nil {
+	if _, _, err := execSQL(db, `INSERT INTO ev VALUES (5, 'delta', 'w')`); err != nil {
 		t.Fatal(err)
 	}
 	want := dumpState(db)
@@ -266,7 +266,7 @@ func TestDictSnapshotCompression(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		if _, _, err := db.Exec(`CREATE TABLE ev (id INTEGER PRIMARY KEY, tag TEXT NOT NULL)`); err != nil {
+		if _, _, err := execSQL(db, `CREATE TABLE ev (id INTEGER PRIMARY KEY, tag TEXT NOT NULL)`); err != nil {
 			t.Fatal(err)
 		}
 		batch := make([][]any, 5000)
@@ -341,7 +341,7 @@ func TestVecExplainAndMetrics(t *testing.T) {
 		t.Errorf("VecFallbacks = %d before any fallback", s.Engine.VecFallbacks)
 	}
 
-	if _, err := db.Query(`SELECT COUNT(*) FROM ev WHERE val LIKE 'v1%'`); err != nil {
+	if _, err := querySQL(db, `SELECT COUNT(*) FROM ev WHERE val LIKE 'v1%'`); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Snapshot().Engine.VecFallbacks; got == 0 {
@@ -382,7 +382,7 @@ func TestVecConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, err := db.Query(`SELECT tag, COUNT(*) AS c, MAX(val) AS m FROM ev GROUP BY tag`); err != nil {
+				if _, err := querySQL(db, `SELECT tag, COUNT(*) AS c, MAX(val) AS m FROM ev GROUP BY tag`); err != nil {
 					t.Errorf("reader %d: %v", g, err)
 					return
 				}
@@ -394,7 +394,7 @@ func TestVecConcurrent(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			sql := fmt.Sprintf(`INSERT INTO ev VALUES (%d, 'writer', 'w%d', %d)`, 200000+i, i, i)
-			if _, _, err := db.Exec(sql); err != nil {
+			if _, _, err := execSQL(db, sql); err != nil {
 				t.Errorf("writer: %v", err)
 				return
 			}
@@ -416,14 +416,14 @@ func BenchmarkVecAggregate(b *testing.B) {
 	const sql = `SELECT tag, COUNT(*) AS c, SUM(n) AS s, MIN(n) AS lo, MAX(n) AS hi
 	  FROM ev GROUP BY tag ORDER BY tag`
 	db.SetVectorized(false)
-	want, err := db.Query(sql)
+	want, err := querySQL(db, sql)
 	if err != nil {
 		b.Fatal(err)
 	}
 	run := func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			got, err := db.Query(sql)
+			got, err := querySQL(db, sql)
 			if err != nil {
 				b.Fatal(err)
 			}

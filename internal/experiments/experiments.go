@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -782,12 +783,12 @@ func E11(seed int64) (*Table, error) {
 	}
 	measure := func(label, sql string) error {
 		const reps = 20
-		if _, err := db.Query(sql); err != nil {
+		if _, err := query(db, sql); err != nil {
 			return err
 		}
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			if _, err := db.Query(sql); err != nil {
+			if _, err := query(db, sql); err != nil {
 				return err
 			}
 		}
@@ -857,4 +858,13 @@ func E12(seed int64) (*Table, error) {
 		}
 	}
 	return t, nil
+}
+
+// query runs a SELECT and materializes its result.
+func query(db *engine.DB, sql string) (*engine.Rows, error) {
+	cur, err := db.QueryCursorContext(context.Background(), sql)
+	if err != nil {
+		return nil, err
+	}
+	return engine.DrainCursor(cur)
 }

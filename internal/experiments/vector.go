@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -43,6 +44,10 @@ type E14Query struct {
 	Identical   bool    `json:"identical"`
 }
 
+// e14DDL creates the E14 workload table.
+const e14DDL = `CREATE TABLE e_item (id INTEGER PRIMARY KEY, doc INTEGER,
+  a_tag TEXT NOT NULL, a_val TEXT, ord INTEGER)`
+
 // e14DB builds the workload table: shredded-string shape (a small set
 // of element-like tags, moderate-cardinality PCDATA, some NULLs) at
 // E14Rows rows.
@@ -51,9 +56,7 @@ func e14DB(seed int64) (*engine.DB, error) {
 	if Observe != nil {
 		db.SetMetrics(Observe)
 	}
-	_, _, err := db.Exec(`CREATE TABLE e_item (id INTEGER PRIMARY KEY, doc INTEGER,
-  a_tag TEXT NOT NULL, a_val TEXT, ord INTEGER)`)
-	if err != nil {
+	if _, err := db.ExecCursorContext(context.Background(), e14DDL); err != nil {
 		return nil, err
 	}
 	tags := []string{"para", "note", "figure", "table", "item", "ref",
@@ -84,14 +87,14 @@ func e14DB(seed int64) (*engine.DB, error) {
 // e14Time runs a query a few times and returns the mean latency and the
 // result data.
 func e14Time(db *engine.DB, sql string) (time.Duration, [][]any, error) {
-	rows, err := db.Query(sql) // warm
+	rows, err := query(db, sql) // warm
 	if err != nil {
 		return 0, nil, err
 	}
 	const reps = 3
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		if rows, err = db.Query(sql); err != nil {
+		if rows, err = query(db, sql); err != nil {
 			return 0, nil, err
 		}
 	}
@@ -115,12 +118,11 @@ func e14Snapshot(seed int64, analyze bool) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	rows, err := mem.Query(`SELECT id, doc, a_tag, a_val, ord FROM e_item ORDER BY id`)
+	rows, err := query(mem, `SELECT id, doc, a_tag, a_val, ord FROM e_item ORDER BY id`)
 	if err != nil {
 		return 0, err
 	}
-	if _, _, err := db.Exec(`CREATE TABLE e_item (id INTEGER PRIMARY KEY, doc INTEGER,
-  a_tag TEXT NOT NULL, a_val TEXT, ord INTEGER)`); err != nil {
+	if _, err := db.ExecCursorContext(context.Background(), e14DDL); err != nil {
 		return 0, err
 	}
 	if _, err := db.InsertBatch("e_item", rows.Data); err != nil {

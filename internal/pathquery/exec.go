@@ -9,24 +9,9 @@ import (
 	"xmlrdb/internal/obs"
 )
 
-// Execute runs every statement of a translation against the engine and
-// concatenates the results (the union of the generated join chains).
+// Execute runs a translation to completion: the drain of ExecuteCursor.
 func Execute(db *engine.DB, tr *Translation) (*engine.Rows, error) {
-	return ExecuteContext(context.Background(), db, tr)
-}
-
-// ExecuteContext is Execute under a context: cancellation aborts the
-// current arm mid-scan and returns the context's error.
-func ExecuteContext(ctx context.Context, db *engine.DB, tr *Translation) (*engine.Rows, error) {
-	out := &engine.Rows{Cols: tr.Cols}
-	for _, sql := range tr.SQLs {
-		rows, err := db.QueryContext(ctx, sql)
-		if err != nil {
-			return nil, err
-		}
-		out.Data = append(out.Data, rows.Data...)
-	}
-	return out, nil
+	return engine.DrainCursor(ExecuteCursor(context.Background(), db, tr))
 }
 
 // ExecuteCursor streams a translation's result: the union arms open
@@ -131,24 +116,6 @@ func translateTraced(ctx context.Context, t Translator, q *Query, path string) (
 		sp.End()
 	}
 	return tr, err
-}
-
-// Run parses, translates and executes a path query in one call.
-func Run(db *engine.DB, t Translator, path string) (*engine.Rows, error) {
-	return RunContext(context.Background(), db, t, path)
-}
-
-// RunContext is Run under a context.
-func RunContext(ctx context.Context, db *engine.DB, t Translator, path string) (*engine.Rows, error) {
-	q, err := Parse(path)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := translateTraced(ctx, t, q, path)
-	if err != nil {
-		return nil, err
-	}
-	return ExecuteContext(ctx, db, tr)
 }
 
 // RunCursor parses, translates and opens a streaming cursor over a path

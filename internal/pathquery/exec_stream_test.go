@@ -10,9 +10,10 @@ import (
 	"xmlrdb/internal/ermap"
 )
 
-// TestRunCursorMatchesRun checks the streaming union produces exactly
-// the rows of the materialized path — same data, same arm order.
-func TestRunCursorMatchesRun(t *testing.T) {
+// TestRunCursorMatchesArms checks the streaming union produces exactly
+// the rows of its arms run one by one as separate statements, in arm
+// order.
+func TestRunCursorMatchesArms(t *testing.T) {
 	tr, db := loadedStore(t, ermap.StrategyJunction)
 	ctx := context.Background()
 	for _, path := range []string{
@@ -21,9 +22,21 @@ func TestRunCursorMatchesRun(t *testing.T) {
 		"//author/name",
 		"/book/author[@id='a1']",
 	} {
-		want, err := RunContext(ctx, db, tr, path)
+		trans, err := tr.Translate(MustParse(path))
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
+		}
+		want := &engine.Rows{Cols: trans.Cols}
+		for _, sql := range trans.SQLs {
+			arm, err := db.QueryCursorContext(ctx, sql)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			rows, err := engine.DrainCursor(arm)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			want.Data = append(want.Data, rows.Data...)
 		}
 		cur, err := RunCursor(ctx, db, tr, path)
 		if err != nil {
@@ -56,7 +69,7 @@ func TestUnionCursorEarlyClose(t *testing.T) {
 	if cur.Next() {
 		t.Fatal("Next after Close returned a row")
 	}
-	if _, _, err := db.Exec(`DELETE FROM e_author WHERE 1 = 0`); err != nil {
+	if _, err := db.ExecCursorContext(context.Background(), `DELETE FROM e_author WHERE 1 = 0`); err != nil {
 		t.Fatalf("write after cursor Close: %v", err)
 	}
 }

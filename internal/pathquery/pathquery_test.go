@@ -1,6 +1,7 @@
 package pathquery
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -82,11 +83,20 @@ func loadedStore(t *testing.T, strategy ermap.Strategy) (*ERTranslator, *engine.
 	return NewERTranslator(res, m), db
 }
 
+// run drains RunCursor: the path query's whole result.
+func run(db *engine.DB, t Translator, path string) (*engine.Rows, error) {
+	cur, err := RunCursor(context.Background(), db, t, path)
+	if err != nil {
+		return nil, err
+	}
+	return engine.DrainCursor(cur)
+}
+
 func runPath(t *testing.T, tr *ERTranslator, db *engine.DB, path string) *engine.Rows {
 	t.Helper()
-	rows, err := Run(db, tr, path)
+	rows, err := run(db, tr, path)
 	if err != nil {
-		t.Fatalf("Run(%q): %v", path, err)
+		t.Fatalf("run(%q): %v", path, err)
 	}
 	return rows
 }
@@ -206,14 +216,14 @@ func TestTextOnPCDataEntity(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewERTranslator(res, m)
-	rows, err := Run(db, tr, "/list/item[text()='two']")
+	rows, err := run(db, tr, "/list/item[text()='two']")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows.Data) != 1 {
 		t.Errorf("text predicate = %v", rows.Data)
 	}
-	rows, err = Run(db, tr, "/list/item/text()")
+	rows, err = run(db, tr, "/list/item/text()")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +301,7 @@ func TestTranslatorName(t *testing.T) {
 
 func TestQuoteEscapingInPredicates(t *testing.T) {
 	tr, db := loadedStore(t, 0)
-	rows, err := Run(db, tr, "/editor[@name='O''Brien']")
+	rows, err := run(db, tr, "/editor[@name='O''Brien']")
 	if err != nil {
 		t.Fatalf("escaped quote: %v", err)
 	}

@@ -14,6 +14,7 @@ import (
 
 	"xmlrdb"
 	"xmlrdb/internal/paper"
+	"xmlrdb/internal/sqldb"
 	"xmlrdb/internal/xmltree"
 )
 
@@ -41,6 +42,18 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, string) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, string(body)
+}
+
+// TestQueryNestingLimit checks a 20 000-level statement posted to
+// /query is refused with 400 and the parser's nesting error.
+func TestQueryNestingLimit(t *testing.T) {
+	h := New(testPipeline(t), Options{}).Handler()
+	stmt := "SELECT " + strings.Repeat("(", 20000) + "1" + strings.Repeat(")", 20000) + " FROM e_book"
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(stmt)))
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), sqldb.ErrTooDeep.Error()) {
+		t.Fatalf("status %d, body %q; want 400 with %q", w.Code, w.Body, sqldb.ErrTooDeep)
+	}
 }
 
 func TestEndpoints(t *testing.T) {
@@ -347,7 +360,7 @@ func TestDisconnectReleasesCursorPin(t *testing.T) {
 	p := testPipeline(t)
 	// A result comfortably larger than the response and socket buffers,
 	// so the handler is still streaming when the client walks away.
-	if _, _, err := p.DB.Exec(`CREATE TABLE big (id INTEGER PRIMARY KEY, pad TEXT)`); err != nil {
+	if _, err := p.SQL(`CREATE TABLE big (id INTEGER PRIMARY KEY, pad TEXT)`); err != nil {
 		t.Fatal(err)
 	}
 	pad := strings.Repeat("x", 256)

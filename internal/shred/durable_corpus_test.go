@@ -102,7 +102,7 @@ func TestResumeFrom(t *testing.T) {
 	if got := count(t, db, `SELECT COUNT(*) FROM e_book`); got != 3 {
 		t.Errorf("books = %d, want 3", got)
 	}
-	ids := db.MustQuery(`SELECT id FROM e_author ORDER BY id`)
+	ids := mustQuery(db, `SELECT id FROM e_author ORDER BY id`)
 	seen := map[int64]bool{}
 	for _, r := range ids.Data {
 		id := r[0].(int64)

@@ -197,7 +197,7 @@ func TestLoadCorpusNamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := map[int64]string{}
-	rows := db.MustQuery(`SELECT doc, name FROM x_docs`)
+	rows := mustQuery(db, `SELECT doc, name FROM x_docs`)
 	for _, r := range rows.Data {
 		names[r[0].(int64)] = r[1].(string)
 	}

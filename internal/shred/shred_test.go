@@ -1,6 +1,7 @@
 package shred
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -39,11 +40,20 @@ func setup(t *testing.T, dtdText string, opts ermap.Options) (*Loader, *engine.D
 
 func count(t *testing.T, db *engine.DB, sql string) int64 {
 	t.Helper()
-	rows, err := db.Query(sql)
-	if err != nil {
-		t.Fatalf("Query(%q): %v", sql, err)
+	return mustQuery(db, sql).Data[0][0].(int64)
+}
+
+// mustQuery runs a SELECT through the engine's read path and drains it,
+// panicking on error.
+func mustQuery(db *engine.DB, sql string) *engine.Rows {
+	cur, err := db.QueryCursorContext(context.Background(), sql)
+	if err == nil {
+		var rows *engine.Rows
+		if rows, err = engine.DrainCursor(cur); err == nil {
+			return rows
+		}
 	}
-	return rows.Data[0][0].(int64)
+	panic(err)
 }
 
 func TestLoadPaperBook(t *testing.T) {
@@ -63,12 +73,12 @@ func TestLoadPaperBook(t *testing.T) {
 	if got := count(t, db, `SELECT COUNT(*) FROM e_book`); got != 1 {
 		t.Errorf("books = %d", got)
 	}
-	rows := db.MustQuery(`SELECT a_booktitle FROM e_book`)
+	rows := mustQuery(db, `SELECT a_booktitle FROM e_book`)
 	if rows.Data[0][0] != "XML RDBMS" {
 		t.Errorf("booktitle = %v", rows.Data[0][0])
 	}
 	// Authors via NG1, in document order.
-	rows = db.MustQuery(`
+	rows = mustQuery(db, `
 SELECT n.a_firstname FROM r_NG1 g
 JOIN e_author a ON g.child = a.id
 JOIN r_Nname nn ON nn.parent = a.id
@@ -79,12 +89,12 @@ ORDER BY g.ord`)
 		t.Errorf("author order = %v", rows.Data)
 	}
 	// Data ordering: author ordinals are 1 and 2 (booktitle was child 0).
-	ords := db.MustQuery(`SELECT ord FROM r_NG1 ORDER BY ord`)
+	ords := mustQuery(db, `SELECT ord FROM r_NG1 ORDER BY ord`)
 	if len(ords.Data) != 2 || ords.Data[0][0] != int64(1) || ords.Data[1][0] != int64(2) {
 		t.Errorf("ordinals = %v", ords.Data)
 	}
 	// Document registry.
-	reg := db.MustQuery(`SELECT name, root_type, root FROM x_docs`)
+	reg := mustQuery(db, `SELECT name, root_type, root FROM x_docs`)
 	if reg.Data[0][0] != "book1" || reg.Data[0][1] != "book" {
 		t.Errorf("registry = %v", reg.Data[0])
 	}
@@ -96,7 +106,7 @@ func TestLoadArticleWithReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The contactauthor IDREF resolves to the wlee author row.
-	rows := db.MustQuery(`
+	rows := mustQuery(db, `
 SELECT r.refvalue, r.target_type, n.a_lastname
 FROM r_authorid r
 JOIN e_author a ON r.target = a.id
@@ -109,12 +119,12 @@ JOIN e_name n ON nn.child = n.id`)
 		t.Errorf("resolved ref = %v", rows.Data[0])
 	}
 	// Group instances: 3 (author, affiliation?) iterations.
-	grps := db.MustQuery(`SELECT COUNT(DISTINCT grp) FROM r_NG2`)
+	grps := mustQuery(db, `SELECT COUNT(DISTINCT grp) FROM r_NG2`)
 	if grps.Data[0][0] != int64(3) {
 		t.Errorf("group instances = %v", grps.Data[0][0])
 	}
 	// Affiliation raw content (ANY).
-	raw := db.MustQuery(`SELECT raw FROM e_affiliation ORDER BY id`)
+	raw := mustQuery(db, `SELECT raw FROM e_affiliation ORDER BY id`)
 	if len(raw.Data) != 2 || raw.Data[0][0] != "GTE Laboratories" {
 		t.Errorf("raw = %v", raw.Data)
 	}
@@ -129,7 +139,7 @@ func TestLoadRecursiveEditor(t *testing.T) {
 		t.Errorf("editors = %d", got)
 	}
 	// The outer editor nests one book and one monograph via NG3.
-	rows := db.MustQuery(`SELECT target FROM r_NG3 WHERE parent = 1 ORDER BY ord`)
+	rows := mustQuery(db, `SELECT target FROM r_NG3 WHERE parent = 1 ORDER BY ord`)
 	if len(rows.Data) != 2 || rows.Data[0][0] != "book" || rows.Data[1][0] != "monograph" {
 		t.Errorf("NG3 = %v", rows.Data)
 	}
@@ -143,7 +153,7 @@ func TestUnresolvedReferenceKept(t *testing.T) {
 	if _, err := l.LoadXML(xml, "a"); err != nil {
 		t.Fatal(err)
 	}
-	rows := db.MustQuery(`SELECT refvalue, target FROM r_authorid`)
+	rows := mustQuery(db, `SELECT refvalue, target FROM r_authorid`)
 	if rows.Data[0][0] != "ghost" || rows.Data[0][1] != nil {
 		t.Errorf("dangling ref = %v", rows.Data[0])
 	}
@@ -180,7 +190,7 @@ func TestMultipleDocumentsSeparateIDSpaces(t *testing.T) {
 		t.Fatalf("same ID in second document must be fine: %v", err)
 	}
 	// Each reference resolves within its own document.
-	rows := db.MustQuery(`
+	rows := mustQuery(db, `
 SELECT r.doc, a.doc FROM r_authorid r JOIN e_author a ON r.target = a.id ORDER BY r.doc`)
 	if len(rows.Data) != 2 {
 		t.Fatalf("refs = %v", rows.Data)
@@ -198,7 +208,7 @@ func TestFoldFKLoading(t *testing.T) {
 		t.Fatal(err)
 	}
 	// name rows carry their author parent directly.
-	rows := db.MustQuery(`
+	rows := mustQuery(db, `
 SELECT n.a_firstname FROM e_name n JOIN e_author a ON n.parent = a.id ORDER BY n.id`)
 	if len(rows.Data) != 2 || rows.Data[0][0] != "John" {
 		t.Errorf("folded parents = %v", rows.Data)
@@ -222,16 +232,16 @@ func TestMixedContentLoad(t *testing.T) {
 		t.Errorf("text chunks = %d, want 3", st.TextChunks)
 	}
 	// Interleaving preserved by shared ordinals.
-	texts := db.MustQuery(`SELECT ord, txt FROM x_text ORDER BY ord`)
+	texts := mustQuery(db, `SELECT ord, txt FROM x_text ORDER BY ord`)
 	if texts.Data[0][1] != "alpha " || texts.Data[2][1] != "!" {
 		t.Errorf("chunks = %v", texts.Data)
 	}
-	kids := db.MustQuery(`SELECT ord, target FROM r_NGpara ORDER BY ord`)
+	kids := mustQuery(db, `SELECT ord, target FROM r_NGpara ORDER BY ord`)
 	if len(kids.Data) != 2 || kids.Data[0][1] != "em" || kids.Data[0][0] != int64(1) {
 		t.Errorf("mixed children = %v", kids.Data)
 	}
 	// txt convenience column holds full text content.
-	full := db.MustQuery(`SELECT txt FROM e_para`)
+	full := mustQuery(db, `SELECT txt FROM e_para`)
 	if full.Data[0][0] != "alpha beta gamma delta!" {
 		t.Errorf("para txt = %q", full.Data[0][0])
 	}
@@ -247,14 +257,14 @@ func TestNestedGroupsInsideGroups(t *testing.T) {
 	}
 	// x links to one virtual entity (the chosen (c, d) branch), which
 	// links to c and d.
-	outer := db.MustQuery(`SELECT target FROM r_NG3`)
+	outer := mustQuery(db, `SELECT target FROM r_NG3`)
 	if len(outer.Data) != 1 || outer.Data[0][0] != "G2" {
 		t.Errorf("outer arcs = %v", outer.Data)
 	}
 	if got := count(t, db, `SELECT COUNT(*) FROM e_G2`); got != 1 {
 		t.Errorf("virtual entities = %d", got)
 	}
-	inner := db.MustQuery(`SELECT target FROM r_NG2 ORDER BY ord`)
+	inner := mustQuery(db, `SELECT target FROM r_NG2 ORDER BY ord`)
 	if len(inner.Data) != 2 || inner.Data[0][0] != "c" || inner.Data[1][0] != "d" {
 		t.Errorf("inner arcs = %v", inner.Data)
 	}
@@ -268,7 +278,7 @@ func TestRepeatedPCDataLeafStaysEntity(t *testing.T) {
 	if _, err := l.LoadXML(`<list><item>one</item><item>two</item></list>`, "l"); err != nil {
 		t.Fatal(err)
 	}
-	rows := db.MustQuery(`
+	rows := mustQuery(db, `
 SELECT i.txt FROM e_item i JOIN r_Nitem g ON g.child = i.id ORDER BY g.ord`)
 	if len(rows.Data) != 2 || rows.Data[0][0] != "one" || rows.Data[1][0] != "two" {
 		t.Errorf("items = %v", rows.Data)
@@ -284,7 +294,7 @@ func TestIDREFSLoad(t *testing.T) {
 	if _, err := l.LoadXML(`<net><node id="n1"/><node id="n2" peers="n1 n3"/><node id="n3" peers="n1"/></net>`, "n"); err != nil {
 		t.Fatal(err)
 	}
-	rows := db.MustQuery(`SELECT refvalue, ord FROM r_peers ORDER BY source, ord`)
+	rows := mustQuery(db, `SELECT refvalue, ord FROM r_peers ORDER BY source, ord`)
 	if len(rows.Data) != 3 {
 		t.Fatalf("refs = %v", rows.Data)
 	}
@@ -301,7 +311,7 @@ func TestAttributeDefaultsStored(t *testing.T) {
 	if _, err := l.LoadXML(`<doc status="final"/>`, "d"); err != nil {
 		t.Fatal(err)
 	}
-	rows := db.MustQuery(`SELECT a_lang, a_status FROM e_doc`)
+	rows := mustQuery(db, `SELECT a_lang, a_status FROM e_doc`)
 	if rows.Data[0][0] != "en" || rows.Data[0][1] != "final" {
 		t.Errorf("defaults = %v", rows.Data[0])
 	}
@@ -315,11 +325,11 @@ func TestMetaTablesPopulated(t *testing.T) {
 	if got := count(t, db, `SELECT COUNT(*) FROM meta_distilled`); got != 5 {
 		t.Errorf("meta_distilled = %d", got)
 	}
-	rows := db.MustQuery(`SELECT model_text FROM meta_elements WHERE name = 'book'`)
+	rows := mustQuery(db, `SELECT model_text FROM meta_elements WHERE name = 'book'`)
 	if rows.Data[0][0] != "(booktitle, (author* | editor))" {
 		t.Errorf("model text = %v", rows.Data[0][0])
 	}
-	rows = db.MustQuery(`SELECT table_name FROM meta_mapping WHERE kind = 'entity' AND name = 'author'`)
+	rows = mustQuery(db, `SELECT table_name FROM meta_mapping WHERE kind = 'entity' AND name = 'author'`)
 	if rows.Data[0][0] != "e_author" {
 		t.Errorf("mapping = %v", rows.Data)
 	}

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -54,6 +55,9 @@ func ParseScript(src string) ([]Stmt, error) {
 type parser struct {
 	toks []Token
 	i    int
+	// depth counts the recursive expression constructs open around the
+	// current token; h is the height of the last expression parsed.
+	depth, h int
 }
 
 func (p *parser) cur() Token  { return p.toks[p.i] }
@@ -96,6 +100,17 @@ func (p *parser) expect(op string) error {
 		return p.errf("expected %q, found %q", op, p.cur().Text)
 	}
 	return nil
+}
+
+// acceptOp consumes the operator token at the cursor when it is one of
+// ops, returning it ("" when it is none of them).
+func (p *parser) acceptOp(ops ...string) string {
+	for _, op := range ops {
+		if p.accept(op) {
+			return op
+		}
+	}
+	return ""
 }
 
 // peekKw reports whether the current token is the keyword.
@@ -640,6 +655,42 @@ func (p *parser) deleteStmt() (*Delete, error) {
 
 // Expression grammar, lowest to highest precedence:
 // OR, AND, NOT, comparison/IS/IN/LIKE, + -, * / %, unary -, primary.
+//
+// Every expression function leaves the height of the tree it returned
+// in p.h, and the constructs it recurses through are counted in
+// p.depth, so nesting past maxExprDepth fails before it costs stack
+// here or in the binder, planner and evaluator that walk the tree.
+
+// maxExprDepth bounds the height of an expression tree. Parentheses,
+// NOT, unary minus, function calls, IN lists and each link of a binary
+// operator chain count one level each; a lone literal or column is one.
+const maxExprDepth = 1000
+
+// ErrTooDeep reports an expression nested past the parser's limit.
+var ErrTooDeep = errors.New("sql: expression nested too deeply")
+
+func (p *parser) tooDeep() error {
+	return fmt.Errorf("sql: at byte %d: %w (limit %d levels)", p.cur().Pos, ErrTooDeep, maxExprDepth)
+}
+
+// nest enters one level of recursive syntax; the caller leaves it with
+// p.depth-- once the nested expression is parsed.
+func (p *parser) nest() error {
+	p.depth++
+	if p.depth >= maxExprDepth {
+		return p.tooDeep()
+	}
+	return nil
+}
+
+// up records, in p.h, the height of a node whose tallest child is h.
+func (p *parser) up(h int) error {
+	p.h = h + 1
+	if p.h > maxExprDepth {
+		return p.tooDeep()
+	}
+	return nil
+}
 
 func (p *parser) expr() (Expr, error) { return p.orExpr() }
 
@@ -649,11 +700,15 @@ func (p *parser) orExpr() (Expr, error) {
 		return nil, err
 	}
 	for p.acceptKw("OR") {
+		lh := p.h
 		r, err := p.andExpr()
 		if err != nil {
 			return nil, err
 		}
 		l = &Bin{Op: OpOr, L: l, R: r}
+		if err := p.up(max(lh, p.h)); err != nil {
+			return nil, err
+		}
 	}
 	return l, nil
 }
@@ -664,22 +719,30 @@ func (p *parser) andExpr() (Expr, error) {
 		return nil, err
 	}
 	for p.acceptKw("AND") {
+		lh := p.h
 		r, err := p.notExpr()
 		if err != nil {
 			return nil, err
 		}
 		l = &Bin{Op: OpAnd, L: l, R: r}
+		if err := p.up(max(lh, p.h)); err != nil {
+			return nil, err
+		}
 	}
 	return l, nil
 }
 
 func (p *parser) notExpr() (Expr, error) {
 	if p.acceptKw("NOT") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		x, err := p.notExpr()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}
-		return &Not{X: x}, nil
+		return &Not{X: x}, p.up(p.h)
 	}
 	return p.cmpExpr()
 }
@@ -689,50 +752,25 @@ func (p *parser) cmpExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	lh := p.h
+	if op := p.acceptOp(OpEq, OpNe, "<>", OpLe, OpGe, OpLt, OpGt); op != "" {
+		if op == "<>" {
+			op = OpNe
+		}
+		r, err := p.addExpr()
+		if err != nil {
+			return nil, err
+		}
+		return &Bin{Op: op, L: l, R: r}, p.up(max(lh, p.h))
+	}
 	switch {
-	case p.accept("="):
-		r, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Bin{Op: OpEq, L: l, R: r}, nil
-	case p.accept("!="), p.accept("<>"):
-		r, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Bin{Op: OpNe, L: l, R: r}, nil
-	case p.accept("<="):
-		r, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Bin{Op: OpLe, L: l, R: r}, nil
-	case p.accept(">="):
-		r, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Bin{Op: OpGe, L: l, R: r}, nil
-	case p.accept("<"):
-		r, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Bin{Op: OpLt, L: l, R: r}, nil
-	case p.accept(">"):
-		r, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Bin{Op: OpGt, L: l, R: r}, nil
 	case p.peekKw("IS"):
 		p.acceptKw("IS")
 		neg := p.acceptKw("NOT")
 		if err := p.expectKw("NULL"); err != nil {
 			return nil, err
 		}
-		return &IsNull{X: l, Negate: neg}, nil
+		return &IsNull{X: l, Negate: neg}, p.up(lh)
 	case p.peekKw("NOT"), p.peekKw("IN"), p.peekKw("LIKE"):
 		neg := p.acceptKw("NOT")
 		switch {
@@ -740,28 +778,21 @@ func (p *parser) cmpExpr() (Expr, error) {
 			if err := p.expect("("); err != nil {
 				return nil, err
 			}
-			var list []Expr
-			for {
-				e, err := p.expr()
-				if err != nil {
-					return nil, err
-				}
-				list = append(list, e)
-				if !p.accept(",") {
-					break
-				}
+			list, h, err := p.exprList()
+			if err != nil {
+				return nil, err
 			}
 			if err := p.expect(")"); err != nil {
 				return nil, err
 			}
-			return &In{X: l, List: list, Negate: neg}, nil
+			return &In{X: l, List: list, Negate: neg}, p.up(max(lh, h))
 		case p.acceptKw("LIKE"):
 			t := p.cur()
 			if t.Kind != TokString {
 				return nil, p.errf("LIKE requires a string literal pattern")
 			}
 			p.i++
-			return &Like{X: l, Pattern: t.Text, Negate: neg}, nil
+			return &Like{X: l, Pattern: t.Text, Negate: neg}, p.up(lh)
 		default:
 			return nil, p.errf("expected IN or LIKE after NOT")
 		}
@@ -769,29 +800,45 @@ func (p *parser) cmpExpr() (Expr, error) {
 	return l, nil
 }
 
+// exprList parses a comma-separated list one level down (IN lists,
+// call arguments) and returns the height of its tallest item.
+func (p *parser) exprList() ([]Expr, int, error) {
+	if err := p.nest(); err != nil {
+		return nil, 0, err
+	}
+	defer func() { p.depth-- }()
+	var list []Expr
+	h := 0
+	for {
+		e, err := p.expr()
+		if err != nil {
+			return nil, 0, err
+		}
+		list = append(list, e)
+		h = max(h, p.h)
+		if !p.accept(",") {
+			return list, h, nil
+		}
+	}
+}
+
 func (p *parser) addExpr() (Expr, error) {
 	l, err := p.mulExpr()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		switch {
-		case p.accept("+"):
-			r, err := p.mulExpr()
-			if err != nil {
-				return nil, err
-			}
-			l = &Bin{Op: OpAdd, L: l, R: r}
-		case p.accept("-"):
-			r, err := p.mulExpr()
-			if err != nil {
-				return nil, err
-			}
-			l = &Bin{Op: OpSub, L: l, R: r}
-		default:
-			return l, nil
+	for op := p.acceptOp(OpAdd, OpSub); op != ""; op = p.acceptOp(OpAdd, OpSub) {
+		lh := p.h
+		r, err := p.mulExpr()
+		if err != nil {
+			return nil, err
+		}
+		l = &Bin{Op: op, L: l, R: r}
+		if err := p.up(max(lh, p.h)); err != nil {
+			return nil, err
 		}
 	}
+	return l, nil
 }
 
 func (p *parser) mulExpr() (Expr, error) {
@@ -799,45 +846,38 @@ func (p *parser) mulExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		switch {
-		case p.accept("*"):
-			r, err := p.unaryExpr()
-			if err != nil {
-				return nil, err
-			}
-			l = &Bin{Op: OpMul, L: l, R: r}
-		case p.accept("/"):
-			r, err := p.unaryExpr()
-			if err != nil {
-				return nil, err
-			}
-			l = &Bin{Op: OpDiv, L: l, R: r}
-		case p.accept("%"):
-			r, err := p.unaryExpr()
-			if err != nil {
-				return nil, err
-			}
-			l = &Bin{Op: OpMod, L: l, R: r}
-		default:
-			return l, nil
+	for op := p.acceptOp(OpMul, OpDiv, OpMod); op != ""; op = p.acceptOp(OpMul, OpDiv, OpMod) {
+		lh := p.h
+		r, err := p.unaryExpr()
+		if err != nil {
+			return nil, err
+		}
+		l = &Bin{Op: op, L: l, R: r}
+		if err := p.up(max(lh, p.h)); err != nil {
+			return nil, err
 		}
 	}
+	return l, nil
 }
 
 func (p *parser) unaryExpr() (Expr, error) {
 	if p.accept("-") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		x, err := p.unaryExpr()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}
-		return &Bin{Op: OpSub, L: &Lit{Value: int64(0)}, R: x}, nil
+		return &Bin{Op: OpSub, L: &Lit{Value: int64(0)}, R: x}, p.up(p.h)
 	}
 	return p.primary()
 }
 
 func (p *parser) primary() (Expr, error) {
 	t := p.cur()
+	p.h = 1
 	switch t.Kind {
 	case TokNumber:
 		p.i++
@@ -859,14 +899,18 @@ func (p *parser) primary() (Expr, error) {
 	case TokOp:
 		if t.Text == "(" {
 			p.i++
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			e, err := p.expr()
+			p.depth--
 			if err != nil {
 				return nil, err
 			}
 			if err := p.expect(")"); err != nil {
 				return nil, err
 			}
-			return e, nil
+			return e, p.up(p.h)
 		}
 		return nil, p.errf("unexpected %q in expression", t.Text)
 	case TokIdent:
@@ -897,20 +941,15 @@ func (p *parser) primary() (Expr, error) {
 				return call, nil
 			}
 			call.Distinct = p.acceptKw("DISTINCT")
-			for {
-				e, err := p.expr()
-				if err != nil {
-					return nil, err
-				}
-				call.Args = append(call.Args, e)
-				if !p.accept(",") {
-					break
-				}
+			args, h, err := p.exprList()
+			if err != nil {
+				return nil, err
 			}
 			if err := p.expect(")"); err != nil {
 				return nil, err
 			}
-			return call, nil
+			call.Args = args
+			return call, p.up(h)
 		}
 		// Qualified column?
 		if p.accept(".") {

@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"xmlrdb/internal/rel"
@@ -197,5 +199,42 @@ func TestParseErrors(t *testing.T) {
 func TestAggregateDetection(t *testing.T) {
 	if !(&Call{Fn: "SUM"}).IsAggregate() || (&Call{Fn: "LENGTH"}).IsAggregate() {
 		t.Error("IsAggregate misclassifies")
+	}
+}
+
+// TestExpressionNestingLimit checks every way an expression tree grows
+// — parentheses, NOT, unary minus, call arguments, IN lists and binary
+// chains — stops at maxExprDepth with ErrTooDeep, and that a statement
+// exactly at the limit still parses.
+func TestExpressionNestingLimit(t *testing.T) {
+	nested := func(open, leaf, close string, n int) string {
+		return strings.Repeat(open, n) + leaf + strings.Repeat(close, n)
+	}
+	chain := func(op string, links int) string {
+		return "1" + strings.Repeat(op+"1", links)
+	}
+	const n = maxExprDepth
+	for _, c := range []struct {
+		name     string
+		at, over string // height maxExprDepth, and one more
+		hostile  string // the 20 000-level probe
+	}{
+		{"parentheses", nested("(", "1", ")", n-1), nested("(", "1", ")", n), nested("(", "1", ")", 20000)},
+		{"NOT", strings.Repeat("NOT ", n-2) + "a = 1", strings.Repeat("NOT ", n-1) + "a = 1", strings.Repeat("NOT ", 20000) + "a = 1"},
+		{"unary minus", strings.Repeat("- ", n-1) + "1", strings.Repeat("- ", n) + "1", strings.Repeat("- ", 20000) + "1"},
+		{"call", nested("ABS(", "1", ")", n-1), nested("ABS(", "1", ")", n), nested("ABS(", "1", ")", 20000)},
+		{"IN", "1 IN (" + nested("(", "1", ")", n-2) + ")", "1 IN (" + nested("(", "1", ")", n-1) + ")", "1 IN (" + nested("(", "1", ")", 20000) + ")"},
+		{"AND chain", chain(" AND ", n-1), chain(" AND ", n), chain(" AND ", 20000)},
+		{"+ chain", chain(" + ", n-1), chain(" + ", n), chain(" + ", 20000)},
+		{"* chain", chain(" * ", n-1), chain(" * ", n), chain(" * ", 20000)},
+	} {
+		if _, err := Parse("SELECT 1 FROM t WHERE " + c.at); err != nil {
+			t.Errorf("%s at the limit: %v", c.name, err)
+		}
+		for _, src := range []string{c.over, c.hostile} {
+			if _, err := Parse("SELECT 1 FROM t WHERE " + src); !errors.Is(err, ErrTooDeep) {
+				t.Errorf("%s over the limit: err = %v, want ErrTooDeep", c.name, err)
+			}
+		}
 	}
 }

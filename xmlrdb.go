@@ -436,16 +436,11 @@ func (p *Pipeline) Validate(src string) ([]Violation, error) {
 }
 
 // Query runs a path query (see the pathquery syntax) translated to SQL
-// over the ER-mapped store. Translations come from the plan cache when
-// one is configured (the default).
+// over the ER-mapped store and materializes its result: the drain of
+// QueryCursor. Translations come from the plan cache when one is
+// configured (the default).
 func (p *Pipeline) Query(path string) (*Rows, error) {
-	return pathquery.Run(p.DB, p.qt, path)
-}
-
-// QueryContext is Query under a context: cancellation or a deadline
-// aborts execution mid-scan with the context's error.
-func (p *Pipeline) QueryContext(ctx context.Context, path string) (*Rows, error) {
-	return pathquery.RunContext(ctx, p.DB, p.qt, path)
+	return drain(p.QueryCursor(context.Background(), path))
 }
 
 // QueryCursor runs a path query and streams its result: union arms
@@ -492,22 +487,18 @@ func (p *Pipeline) translate(path string) (*pathquery.Translation, error) {
 	return p.qt.Translate(q)
 }
 
-// SQL runs a raw SQL statement against the store.
+// SQL runs one raw SQL statement against the store and materializes
+// its result: the drain of SQLCursor (empty for non-queries).
 func (p *Pipeline) SQL(stmt string) (*Rows, error) {
-	return p.SQLContext(context.Background(), stmt)
+	return drain(p.SQLCursor(context.Background(), stmt))
 }
 
-// SQLContext is SQL under a context: cancellation or a deadline aborts
-// SELECT execution mid-scan with the context's error.
-func (p *Pipeline) SQLContext(ctx context.Context, stmt string) (*Rows, error) {
-	_, rows, err := p.DB.ExecContext(ctx, stmt)
+// drain materializes a cursor that opened, or passes on why it did not.
+func drain(cur Cursor, err error) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rows == nil {
-		rows = &Rows{}
-	}
-	return rows, nil
+	return engine.DrainCursor(cur)
 }
 
 // SQLCursor executes one SQL statement and returns its result as a

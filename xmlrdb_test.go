@@ -1,10 +1,12 @@
 package xmlrdb
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"xmlrdb/internal/paper"
+	"xmlrdb/internal/sqldb"
 )
 
 func open(t *testing.T, cfg Config) *Pipeline {
@@ -69,6 +71,21 @@ func TestSQLSurface(t *testing.T) {
 	}
 	if len(rows.Data) != 1 {
 		t.Errorf("meta = %v", rows.Data)
+	}
+}
+
+// TestSQLNestingLimit checks a 20 000-level expression is refused with
+// the parser's typed error instead of being parsed, planned and run.
+func TestSQLNestingLimit(t *testing.T) {
+	p := open(t, Config{})
+	deep := strings.Repeat("(", 20000) + "1" + strings.Repeat(")", 20000)
+	for _, stmt := range []string{
+		"SELECT " + deep + " FROM e_book",
+		"SELECT id FROM e_book WHERE " + strings.Repeat("NOT ", 20000) + "id = 1",
+	} {
+		if _, err := p.SQL(stmt); !errors.Is(err, sqldb.ErrTooDeep) {
+			t.Errorf("SQL of a 20 000-level statement: err = %v, want sqldb.ErrTooDeep", err)
+		}
 	}
 }
 
